@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import matrix
-from .exceptions import ShapeError
+from .exceptions import ParseError, ShapeError
 from .objectives import ModelVariant
 from .rng import substream
 from .solver import SsnmfConfig, _apply_floor, _ratio, _s_terms, fit
@@ -74,20 +74,13 @@ def transform(
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    x_test = matrix.as_matrix(x_test, "x_test")
-    matrix.check_nonnegative(x_test, "x_test")
+    x_test = matrix.check_nonnegative(matrix.as_matrix(x_test, "x_test"), "x_test")
     a = model.a_train
     if x_test.shape[0] != a.shape[0]:
         raise ShapeError(
             f"x_test has {x_test.shape[0]} rows, dictionary expects {a.shape[0]}"
         )
-    if w_test is not None:
-        w_test = matrix.as_matrix(w_test, "w_test")
-        matrix.check_nonnegative(w_test, "w_test")
-        if w_test.shape != x_test.shape:
-            raise ShapeError(
-                f"w_test shape {w_test.shape} does not match x_test {x_test.shape}"
-            )
+    w_test = matrix.as_mask(w_test, x_test, "w_test", "x_test")
     eps = model.config.eps
     gen = substream(model.config.seed, "transform")
     s = gen.random((a.shape[1], x_test.shape[1])) + 0.01
@@ -129,35 +122,26 @@ def save_model(model: ClassifierModel, out_dir, vocabulary: Optional[str] = None
     os.makedirs(out_dir, exist_ok=True)
     matrix.write_csv(os.path.join(out_dir, "A.csv"), model.a_train)
     matrix.write_csv(os.path.join(out_dir, "B.csv"), model.b_train)
-    manifest = {
-        "variant": model.variant.key,
-        "r": model.config.r,
-        "lam": model.config.lam,
-        "max_iters": model.config.max_iters,
-        "tol": model.config.tol,
-        "eps": model.config.eps,
-        "seed": model.config.seed,
-        "vocabulary": vocabulary,
-    }
+    manifest = {"variant": model.variant.key, "vocabulary": vocabulary, **asdict(model.config)}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(model_dir) -> ClassifierModel:
-    with open(os.path.join(model_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+    path = os.path.join(model_dir, "manifest.json")
+    with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    config = SsnmfConfig(
-        r=manifest["r"],
-        lam=manifest["lam"],
-        max_iters=manifest["max_iters"],
-        tol=manifest["tol"],
-        eps=manifest["eps"],
-        seed=manifest["seed"],
-    )
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
+    try:
+        config = SsnmfConfig(**{f.name: manifest[f.name] for f in fields(SsnmfConfig)})
+        variant = ModelVariant.parse(manifest["variant"])
+    except KeyError as exc:
+        raise ParseError(f"{path}: manifest has no {exc.args[0]!r} field") from None
     return ClassifierModel(
         a_train=matrix.read_csv(os.path.join(model_dir, "A.csv")),
         b_train=matrix.read_csv(os.path.join(model_dir, "B.csv")),
-        variant=ModelVariant.parse(manifest["variant"]),
+        variant=variant,
         config=config,
     )

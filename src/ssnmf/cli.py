@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -53,6 +54,9 @@ def _resolve(args, defaults: dict) -> dict:
         unknown = sorted(set(cfg) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+        required = sorted(k for k, v in cfg.items() if v is None and defaults[k] is not None)
+        if required:
+            raise ConfigError(f"config fields may not be null: {', '.join(required)}")
         resolved.update(cfg)
     for key in defaults:
         flag = getattr(args, key, None)
@@ -78,14 +82,25 @@ def _read_matrix_arg(path, name):
     return matrix.read_csv(path)
 
 
+def _integer(opts, key):
+    """An integer option, or None if unset; a config value of 2.7 or true is an
+    error rather than 2 or 1."""
+    value = opts[key]
+    if value is None:
+        return None
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _solver_config(opts) -> SsnmfConfig:
     return SsnmfConfig(
-        r=int(opts["r"]),
+        r=_integer(opts, "r"),
         lam=float(opts["lam"]),
-        max_iters=int(opts["max_iters"]),
+        max_iters=_integer(opts, "max_iters"),
         tol=float(opts["tol"]),
         eps=float(opts["eps"]),
-        seed=int(opts["seed"]),
+        seed=_integer(opts, "seed"),
     )
 
 
@@ -180,8 +195,9 @@ def cmd_classify(args) -> int:
     w_train = _read_matrix_arg(opts["w_train"], "w_train")
     w_test = _read_matrix_arg(opts["w_test"], "w_test")
     variant = ModelVariant.parse(opts["variant"])
-    transform_iters = int(opts["transform_iters"])
-    chosen = {"tol": float(opts["tol"]), "lam": float(opts["lam"])}
+    transform_iters = _integer(opts, "transform_iters")
+    base = _solver_config(opts)
+    chosen = {"tol": base.tol, "lam": base.lam}
     grid_results = None
     if opts["grid"]:
         if opts["x_val"] is None or opts["y_val"] is None:
@@ -192,10 +208,7 @@ def cmd_classify(args) -> int:
         grid_results = []
         for tol in GRID_TOLS:
             for lam in GRID_LAMBDAS:
-                config = SsnmfConfig(
-                    r=int(opts["r"]), lam=lam, max_iters=int(opts["max_iters"]),
-                    tol=tol, eps=float(opts["eps"]), seed=int(opts["seed"]),
-                )
+                config = replace(base, tol=tol, lam=lam)
                 _, _, _, acc = _train_eval(
                     variant, x_train, y_train, w_train,
                     x_val, None, y_val, config, transform_iters,
@@ -204,10 +217,7 @@ def cmd_classify(args) -> int:
                 if acc > best_acc:
                     best_acc = acc
                     chosen = {"tol": tol, "lam": lam}
-    config = SsnmfConfig(
-        r=int(opts["r"]), lam=chosen["lam"], max_iters=int(opts["max_iters"]),
-        tol=chosen["tol"], eps=float(opts["eps"]), seed=int(opts["seed"]),
-    )
+    config = replace(base, **chosen)
     model, result, y_pred, acc = _train_eval(
         variant, x_train, y_train, w_train,
         x_test, w_test, y_test, config, transform_iters,
@@ -219,12 +229,12 @@ def cmd_classify(args) -> int:
         cls.save_model(model, opts["save_model"])
     report = {
         "variant": variant.key,
-        "r": int(opts["r"]),
-        "lam": chosen["lam"],
-        "tol": chosen["tol"],
-        "max_iters": int(opts["max_iters"]),
+        "r": config.r,
+        "lam": config.lam,
+        "tol": config.tol,
+        "max_iters": config.max_iters,
         "transform_iters": transform_iters,
-        "seed": int(opts["seed"]),
+        "seed": config.seed,
         "train_iterations": result.iterations_run,
         "train_relative_error": result.relative_error,
         "test_accuracy": acc,
@@ -269,14 +279,12 @@ def cmd_synth_bench(args) -> int:
             raise ConfigError(f"experiment must be 1..4 or 'all', got {raw!r}") from None
     base = synth.ExperimentSpec(
         experiment=experiments[0],
-        n1=int(opts["n1"]), n2=int(opts["n2"]), k=int(opts["k"]), r=int(opts["r"]),
-        density=float(opts["density"]), lam=float(opts["lam"]),
-        max_iters=int(opts["max_iters"]), trials=int(opts["trials"]),
-        seed=int(opts["seed"]), eps=float(opts["eps"]),
+        n1=_integer(opts, "n1"), n2=_integer(opts, "n2"), k=_integer(opts, "k"),
+        r=_integer(opts, "r"), density=float(opts["density"]), lam=float(opts["lam"]),
+        max_iters=_integer(opts, "max_iters"), trials=_integer(opts, "trials"),
+        seed=_integer(opts, "seed"), eps=float(opts["eps"]),
     )
-    workers = opts["workers"]
-    grid = synth.run_benchmark(base, experiments,
-                               workers=None if workers is None else int(workers))
+    grid = synth.run_benchmark(base, experiments, workers=_integer(opts, "workers"))
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     grid.to_csv(os.path.join(out_dir, "errorgrid.csv"))
@@ -334,11 +342,10 @@ def cmd_prep(args) -> int:
         raise ConfigError(f"format must be tree, jsonl, or auto, got {fmt!r}")
     ratios = (float(opts["train_ratio"]), float(opts["val_ratio"]),
               float(opts["test_ratio"]))
-    cap = opts["per_class_cap"]
     train, val, test = textprep.split(
         corpus, ratios=ratios,
-        per_class_cap=None if cap is None else int(cap),
-        seed=int(opts["seed"]),
+        per_class_cap=_integer(opts, "per_class_cap"),
+        seed=_integer(opts, "seed"),
     )
     if opts["no_stopwords"]:
         stop = frozenset()
@@ -349,9 +356,9 @@ def cmd_prep(args) -> int:
         stop = textprep.stopwords()
     vocab = textprep.build_vocabulary(
         train, stop_terms=stop,
-        min_df=int(opts["min_df"]),
+        min_df=_integer(opts, "min_df"),
         max_df_ratio=float(opts["max_df_ratio"]),
-        max_size=None if opts["max_size"] is None else int(opts["max_size"]),
+        max_size=_integer(opts, "max_size"),
     )
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -400,11 +407,12 @@ def cmd_topics(args) -> int:
     if not os.path.exists(opts["vocab"]):
         raise ParseError(f"vocab file not found: {opts['vocab']}")
     vocab = textprep.load_vocabulary(opts["vocab"])
-    keywords = evalcluster.top_keywords(a, vocab, count=int(opts["count"]))
+    count = _integer(opts, "count")
+    keywords = evalcluster.top_keywords(a, vocab, count=count)
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     payload = {
-        "count": int(opts["count"]),
+        "count": count,
         "topics": [{"topic": i, "keywords": words} for i, words in enumerate(keywords)],
     }
     _write_report(os.path.join(out_dir, "topics.json"), payload, args.no_timestamp)

@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 def hard_assign(s) -> np.ndarray:
     """One-hot argmax per column (ties to the lowest topic index)."""
-    return label(s)
+    return label(matrix.check_nonnegative(matrix.as_matrix(s, "s"), "s"))
 
 
 def soft_assign(s) -> np.ndarray:
@@ -62,14 +62,18 @@ def topic_score(s_hat_row, m):
     return best, float(ratios[best])
 
 
+_ASSIGN = {"hard": hard_assign, "soft": soft_assign}
+
+
+def _assign(s, mode: str) -> np.ndarray:
+    if mode not in _ASSIGN:
+        raise EvaluationError(f"mode must be 'hard' or 'soft', got {mode!r}")
+    return _ASSIGN[mode](s)
+
+
 def mean_score(s, m, mode: str = "hard") -> float:
     """Average topic score P over all topic rows of s."""
-    if mode == "hard":
-        s_hat = hard_assign(s)
-    elif mode == "soft":
-        s_hat = soft_assign(s)
-    else:
-        raise EvaluationError(f"mode must be 'hard' or 'soft', got {mode!r}")
+    s_hat = _assign(s, mode)
     scores = [topic_score(s_hat[i], m)[1] for i in range(s_hat.shape[0])]
     return float(np.mean(scores))
 
@@ -128,12 +132,7 @@ def topic_report(
     group_names=None,
 ) -> TopicReport:
     keywords = top_keywords(a, vocab, count)
-    if mode == "hard":
-        s_hat = hard_assign(s)
-    elif mode == "soft":
-        s_hat = soft_assign(s)
-    else:
-        raise EvaluationError(f"mode must be 'hard' or 'soft', got {mode!r}")
+    s_hat = _assign(s, mode)
     topics = []
     for i in range(s_hat.shape[0]):
         group, score = topic_score(s_hat[i], m)

@@ -1,17 +1,15 @@
-"""Dense nonnegative matrices and the elementwise operations the solvers use.
+"""Dense nonnegative matrices: validation at the package boundary and CSV I/O.
 
 Matrices are plain float64 numpy arrays in row-major order. The helpers here
-add the validation the factorization code relies on: shape agreement, explicit
-nonnegativity checks, and epsilon-guarded division that never raises.
+add the validation the factorization code relies on: shape agreement,
+finite nonnegative data and 0/1 masks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError, ParseError, ShapeError
-
-DEFAULT_EPS = 1e-10
+from .exceptions import ParseError, ShapeError
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -22,48 +20,33 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _reject(a: np.ndarray, bad: np.ndarray, name: str, want: str) -> None:
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ShapeError(f"{name} must be {want}, found {float(a[idx])} at {idx}")
+
+
 def check_nonnegative(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if np.any(a < 0):
-        bad = tuple(int(i) for i in np.argwhere(a < 0)[0])
-        raise ShapeError(
-            f"{name} must be entrywise nonnegative, "
-            f"found {float(a[bad])} at {bad}"
-        )
+    """Reject negative, NaN and infinite entries, naming the first one."""
+    _reject(a, ~((a >= 0) & (a < np.inf)), name, "entrywise finite and nonnegative")
     return a
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product. Operands must have identical shape."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
+def as_mask(mask, like: np.ndarray, name: str, like_name: str):
+    """Coerce an optional mask for the matrix `like`; None stays None.
 
-
-def safe_divide(a, b, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Entrywise a / (b + eps). The guard keeps zero denominators finite."""
-    if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    a = as_matrix(a, "numerator")
-    b = as_matrix(b, "denominator")
-    if a.shape != b.shape:
-        raise ShapeError(f"safe_divide shape mismatch: {a.shape} vs {b.shape}")
-    return a / (b + eps)
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
+    Masks are 0/1 indicators (keep or drop an entry). The multiplicative
+    updates are the objective's descent steps only for such masks.
+    """
+    if mask is None:
+        return None
+    mask = as_matrix(mask, name)
+    if mask.shape != like.shape:
         raise ShapeError(
-            f"matmul inner dimensions differ: {a.shape} @ {b.shape}"
+            f"{name} shape {mask.shape} does not match {like_name} shape {like.shape}"
         )
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(a).T)
+    _reject(mask, (mask != 0) & (mask != 1), name, "a 0/1 mask")
+    return mask
 
 
 def write_csv(path, a) -> None:

@@ -8,8 +8,8 @@ of the two fit terms uses one of two error functions:
   div: information divergence (generalized Kullback-Leibler)
 
 giving four model variants. Masks W (same shape as X) and L (same shape as Y)
-weight individual entries; a zero mask entry removes that entry from the
-objective entirely. The divergence is applied to the masked pair, so
+keep (1) or drop (0) individual entries; a zero mask entry removes that entry
+from the objective entirely. The divergence is applied to the masked pair, so
 div(x, z, mask) = D(mask . x || mask . z).
 """
 
@@ -117,9 +117,6 @@ def i_divergence(x, z, mask=None, eps: float = 0.0) -> float:
     if np.any(np.isinf(logs)):
         return math.inf
     return total + float(np.dot(ap, logs))
-
-
-_LOSS_FN = {Loss.FRO: frobenius_sq, Loss.DIV: i_divergence}
 
 
 def objective(

@@ -4,8 +4,9 @@ One sweep updates A, then B, then S; each later update sees the factors
 already updated in the same sweep. Every multiplicative ratio is guarded as
 (numerator + eps) / (denominator + eps), so a fully masked-out factor is left
 unchanged instead of being dragged to zero, and exact factorizations are fixed
-points of the sweep. Masks may be None, meaning all ones; that path skips
-materializing the mask and agrees with the explicit-ones path to rounding.
+points of the sweep. Masks are 0/1 indicators and may be None, meaning all
+ones; that path skips materializing the mask and agrees with the
+explicit-ones path to rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -76,14 +77,7 @@ class FitResult:
     def to_dict(self) -> dict:
         return {
             "variant": self.variant.key,
-            "config": {
-                "r": self.config.r,
-                "lam": self.config.lam,
-                "max_iters": self.config.max_iters,
-                "tol": self.config.tol,
-                "eps": self.config.eps,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "objective_trace": [float(v) for v in self.objective_trace],
             "relative_error": float(self.relative_error),
             "iterations_run": int(self.iterations_run),
@@ -100,13 +94,17 @@ class FitResult:
         matrix.write_csv(os.path.join(out_dir, "S.csv"), self.state.s)
 
 
+def _draw_factors(gen: np.random.Generator, n1: int, n2: int, k: int, r: int) -> FactorState:
+    """Uniform [0.01, 1.01) factors from an explicit stream, drawn A, then B, then S."""
+    a = gen.random((n1, r)) + 0.01
+    b = gen.random((k, r)) + 0.01
+    s = gen.random((r, n2)) + 0.01
+    return FactorState(a, b, s)
+
+
 def initialize(n1: int, n2: int, k: int, config: SsnmfConfig) -> FactorState:
     """Strictly positive uniform draws on [0.01, 1.01), deterministic per seed."""
-    gen = substream(config.seed, "init")
-    a = gen.random((n1, config.r)) + 0.01
-    b = gen.random((k, config.r)) + 0.01
-    s = gen.random((config.r, n2)) + 0.01
-    return FactorState(a, b, s)
+    return _draw_factors(substream(config.seed, "init"), n1, n2, k, config.r)
 
 
 def _ratio(num, den, eps):
@@ -126,48 +124,54 @@ def _apply_floor(f):
     return f
 
 
-def _update_dictionary(f, s, data, mask, loss, eps):
-    """One multiplicative update of a dictionary factor (A or B).
+# Factor of each loss's gradient in the product: the squared Frobenius
+# residual brings a 2 that the divergence gradient lacks.
+_GRAD_FACTOR = {Loss.FRO: 2.0, Loss.DIV: 1.0}
 
-    f is the factor, data/mask the matching matrix pair. The coefficient
-    matrix s is held fixed. Works for both loss choices.
+
+def _gradient_parts(f, s, data, mask, loss, eps):
+    """The nonnegative parts (pos, neg) of one fit term's gradient in Z = f @ s.
+
+    The term's gradient in Z is _GRAD_FACTOR[loss] * (pos - neg), and its
+    multiplicative update is the ratio of neg to pos carried through the
+    product. A pos of None stands for all ones. This is the one place where
+    the loss and the mask are told apart.
     """
-    fs = f @ s
+    # z is a fresh product, so it is reused in place: every large temporary
+    # costs page faults once the allocator has handed its memory back
+    z = f @ s
+    if mask is not None:
+        z *= mask
+    if loss is Loss.FRO:
+        return z, (data if mask is None else mask * data)
+    z += eps
     if mask is None:
-        if loss is Loss.FRO:
-            num = data @ s.T
-            den = fs @ s.T
-        else:
-            num = (data / (fs + eps)) @ s.T
-            den = s.sum(axis=1)[None, :]
-    else:
-        mdata = mask * data
-        mfs = mask * fs
-        if loss is Loss.FRO:
-            num = mdata @ s.T
-            den = mfs @ s.T
-        else:
-            num = ((mdata / (mfs + eps)) * mask) @ s.T
-            den = mask @ s.T
-    return f * _ratio(num, den, eps)
+        return None, np.divide(data, z, out=z)
+    np.divide(mask * data, z, out=z)
+    z *= mask
+    return mask, z
+
+
+def _times_st(part, s):
+    """part @ s.T, with None (all ones) as the row sums of s."""
+    return s.sum(axis=1)[None, :] if part is None else part @ s.T
+
+
+def _ft_times(f, part):
+    """f.T @ part, with None (all ones) as the column sums of f."""
+    return f.sum(axis=0)[:, None] if part is None else f.T @ part
+
+
+def _update_dictionary(f, s, data, mask, loss, eps):
+    """One multiplicative update of a dictionary factor (A or B), s held fixed."""
+    pos, neg = _gradient_parts(f, s, data, mask, loss, eps)
+    return f * _ratio(_times_st(neg, s), _times_st(pos, s), eps)
 
 
 def _s_terms(f, s, data, mask, loss, eps):
     """Numerator and denominator contribution of one fit term to the S update."""
-    fs = f @ s
-    if mask is None:
-        if loss is Loss.FRO:
-            return f.T @ data, f.T @ fs
-        num = f.T @ (data / (fs + eps))
-        den = f.sum(axis=0)[:, None]
-        return num, den
-    mdata = mask * data
-    mfs = mask * fs
-    if loss is Loss.FRO:
-        return f.T @ mdata, f.T @ mfs
-    num = f.T @ ((mdata / (mfs + eps)) * mask)
-    den = f.T @ mask
-    return num, den
+    pos, neg = _gradient_parts(f, s, data, mask, loss, eps)
+    return _ft_times(f, neg), _ft_times(f, pos)
 
 
 def mu_step(
@@ -186,12 +190,11 @@ def mu_step(
     a = _apply_floor(_update_dictionary(state.a, state.s, x, w, rec, eps))
     b = _apply_floor(_update_dictionary(state.b, state.s, y, l, sup, eps))
 
-    # mixed Frobenius/divergence pairs keep the factor 2 from the squared
-    # residual gradient; it cancels only when both terms share a loss
+    # the S update weighs each term by its gradient factor; the factors
+    # cancel only when both terms share a loss
     num_r, den_r = _s_terms(a, state.s, x, w, rec, eps)
     num_s, den_s = _s_terms(b, state.s, y, l, sup, eps)
-    cr = 2.0 if (rec is Loss.FRO and sup is Loss.DIV) else 1.0
-    cs = 2.0 if (sup is Loss.FRO and rec is Loss.DIV) else 1.0
+    cr, cs = (1.0, 1.0) if rec is sup else (_GRAD_FACTOR[rec], _GRAD_FACTOR[sup])
     num = cr * num_r + cs * lam * num_s
     den = cr * den_r + cs * lam * den_s
     s = _apply_floor(state.s * _ratio(num, den, eps))
@@ -199,24 +202,11 @@ def mu_step(
 
 
 def _check_system(x, y, w, l):
-    x = matrix.as_matrix(x, "x")
-    y = matrix.as_matrix(y, "y")
-    matrix.check_nonnegative(x, "x")
-    matrix.check_nonnegative(y, "y")
-    n2 = x.shape[1]
-    if y.shape[1] != n2:
-        raise ShapeError(f"x has {n2} columns but y has {y.shape[1]}")
-    if w is not None:
-        w = matrix.as_matrix(w, "w")
-        matrix.check_nonnegative(w, "w")
-        if w.shape != x.shape:
-            raise ShapeError(f"w shape {w.shape} does not match x shape {x.shape}")
-    if l is not None:
-        l = matrix.as_matrix(l, "l")
-        matrix.check_nonnegative(l, "l")
-        if l.shape != y.shape:
-            raise ShapeError(f"l shape {l.shape} does not match y shape {y.shape}")
-    return x, y, w, l
+    x = matrix.check_nonnegative(matrix.as_matrix(x, "x"), "x")
+    y = matrix.check_nonnegative(matrix.as_matrix(y, "y"), "y")
+    if y.shape[1] != x.shape[1]:
+        raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
+    return x, y, matrix.as_mask(w, x, "w", "x"), matrix.as_mask(l, y, "l", "y")
 
 
 def fit(
@@ -261,6 +251,14 @@ def fit(
     )
 
 
+def _fit_terms(variant, state, x, y, w, l, lam):
+    """(factor, data, mask, loss, weight) of the reconstruction and supervision terms."""
+    return (
+        (state.a, np.asarray(x, dtype=np.float64), w, variant.reconstruction, 1.0),
+        (state.b, np.asarray(y, dtype=np.float64), l, variant.supervision, lam),
+    )
+
+
 def gradient(
     variant: ModelVariant,
     state: FactorState,
@@ -273,46 +271,17 @@ def gradient(
 ):
     """Analytic gradients (dA, dB, dS) of the joint objective.
 
-    Frobenius terms differentiate the masked residual, so the mask enters
-    squared; for binary masks that coincides with the mask itself. Divergence
-    quotients are eps-guarded and never raise.
+    Divergence quotients are eps-guarded and never raise.
     """
-    a, b, s = state.a, state.b, state.s
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-
-    def dict_grad(f, data, mask, loss, scale):
-        fs = f @ s
-        if loss is Loss.FRO:
-            resid = data - fs
-            if mask is not None:
-                resid = mask * mask * resid
-            return (-2.0 * scale) * (resid @ s.T)
-        if mask is None:
-            q = data / (fs + eps)
-            return scale * (np.broadcast_to(s.sum(axis=1)[None, :], f.shape) - q @ s.T)
-        q = ((mask * data) / (mask * fs + eps)) * mask
-        return scale * (mask @ s.T - q @ s.T)
-
-    def coeff_grad(f, data, mask, loss, scale):
-        fs = f @ s
-        if loss is Loss.FRO:
-            resid = data - fs
-            if mask is not None:
-                resid = mask * mask * resid
-            return (-2.0 * scale) * (f.T @ resid)
-        if mask is None:
-            q = data / (fs + eps)
-            return scale * (f.sum(axis=0)[:, None] - f.T @ q)
-        q = ((mask * data) / (mask * fs + eps)) * mask
-        return scale * (f.T @ mask - f.T @ q)
-
-    da = dict_grad(a, x, w, variant.reconstruction, 1.0)
-    db = dict_grad(b, y, l, variant.supervision, lam)
-    ds = coeff_grad(a, x, w, variant.reconstruction, 1.0) + coeff_grad(
-        b, y, l, variant.supervision, lam
-    )
-    return da, db, ds
+    s = state.s
+    grads = []
+    ds = 0.0
+    for f, data, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
+        pos, neg = _gradient_parts(f, s, data, mask, loss, eps)
+        c = _GRAD_FACTOR[loss] * weight
+        grads.append(c * (_times_st(pos, s) - _times_st(neg, s)))
+        ds = ds + c * (_ft_times(f, pos) - _ft_times(f, neg))
+    return grads[0], grads[1], ds
 
 
 def step_scale(
@@ -330,30 +299,12 @@ def step_scale(
     Each multiplicative update equals factor - G . grad for these scales (up
     to the eps ratio guard), which is what makes the sweep a descent scheme.
     """
-    a, b, s = state.a, state.b, state.s
-
-    def dict_scale(f, mask, loss, scale):
-        fs = f @ s
-        if loss is Loss.FRO:
-            mfs = fs if mask is None else mask * fs
-            return f / (2.0 * scale * (mfs @ s.T) + eps)
-        if mask is None:
-            return f / (scale * np.broadcast_to(s.sum(axis=1)[None, :], f.shape) + eps)
-        return f / (scale * (mask @ s.T) + eps)
-
-    def coeff_den(f, mask, loss, scale):
-        fs = f @ s
-        if loss is Loss.FRO:
-            mfs = fs if mask is None else mask * fs
-            return 2.0 * scale * (f.T @ mfs)
-        if mask is None:
-            return scale * np.broadcast_to(f.sum(axis=0)[:, None], s.shape)
-        return scale * (f.T @ mask)
-
-    ga = dict_scale(a, w, variant.reconstruction, 1.0)
-    gb = dict_scale(b, l, variant.supervision, lam)
-    den = coeff_den(a, w, variant.reconstruction, 1.0) + coeff_den(
-        b, l, variant.supervision, lam
-    )
-    gs = s / (den + eps)
-    return ga, gb, gs
+    s = state.s
+    scales = []
+    den = 0.0
+    for f, data, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
+        pos, _ = _gradient_parts(f, s, data, mask, loss, eps)
+        c = _GRAD_FACTOR[loss] * weight
+        scales.append(f / (c * _times_st(pos, s) + eps))
+        den = den + c * _ft_times(f, pos)
+    return scales[0], scales[1], s / (den + eps)

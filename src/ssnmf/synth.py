@@ -32,7 +32,7 @@ import numpy as np
 from .exceptions import ConfigError, FitError
 from .objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
-from .solver import FactorState, mu_step
+from .solver import FactorState, _draw_factors, mu_step
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,13 @@ def gen_factors(n1: int, n2: int, k: int, r: int, density: float, seed: int) -> 
     return FactorState(a=a, b=b, s=s)
 
 
+def _draw(noise: NoiseModel, mean, gen: np.random.Generator) -> np.ndarray:
+    """Entrywise draws around mean from an explicit stream; Gaussians clamp at 0."""
+    if noise.kind == "gaussian":
+        return np.maximum(gen.normal(loc=mean, scale=math.sqrt(noise.variance)), 0.0)
+    return gen.poisson(mean).astype(np.float64)
+
+
 def sample_gaussian(mean, variance: float, seed: int) -> np.ndarray:
     """Entrywise N(mean, variance) draws, clamped at zero.
 
@@ -149,12 +156,8 @@ def sample_gaussian(mean, variance: float, seed: int) -> np.ndarray:
     fro-fro is only approximately the MLE; this is why experiment 1's margin
     is the narrowest at most seeds (matched/best-other 0.961-0.994 at 500x500).
     """
-    if variance <= 0:
-        raise ConfigError(f"variance must be positive, got {variance}")
-    mean = np.asarray(mean, dtype=np.float64)
-    gen = substream(seed, "gaussian")
-    draws = gen.normal(loc=mean, scale=math.sqrt(variance))
-    return np.maximum(draws, 0.0)
+    noise = NoiseModel("gaussian", variance)
+    return _draw(noise, np.asarray(mean, dtype=np.float64), substream(seed, "gaussian"))
 
 
 def sample_poisson(mean, seed: int) -> np.ndarray:
@@ -162,25 +165,7 @@ def sample_poisson(mean, seed: int) -> np.ndarray:
     mean = np.asarray(mean, dtype=np.float64)
     if np.any(mean < 0):
         raise ConfigError("poisson intensities must be nonnegative")
-    gen = substream(seed, "poisson")
-    return gen.poisson(mean).astype(np.float64)
-
-
-def _sample(noise: NoiseModel, mean, seed_words) -> np.ndarray:
-    if noise.kind == "gaussian":
-        gen = substream(*seed_words)
-        draws = gen.normal(loc=mean, scale=math.sqrt(noise.variance))
-        return np.maximum(draws, 0.0)
-    gen = substream(*seed_words)
-    return gen.poisson(mean).astype(np.float64)
-
-
-def draw_init(gen: np.random.Generator, n1: int, n2: int, k: int, r: int) -> FactorState:
-    """Uniform [0.01, 1.01) starting factors from an explicit stream."""
-    a = gen.random((n1, r)) + 0.01
-    b = gen.random((k, r)) + 0.01
-    s = gen.random((r, n2)) + 0.01
-    return FactorState(a, b, s)
+    return _draw(NoiseModel("poisson"), mean, substream(seed, "poisson"))
 
 
 @dataclass
@@ -234,9 +219,9 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
     true = gen_factors(spec.n1, spec.n2, spec.k, spec.r, spec.density, spec.seed)
     clean_x = true.a @ true.s
     clean_y = true.b @ true.s
-    x = _sample(x_noise, clean_x, (spec.seed, "x", trial, spec.experiment))
-    y = _sample(y_noise, clean_y, (spec.seed, "y", trial, spec.experiment))
-    init = draw_init(substream(spec.seed, "init", trial), spec.n1, spec.n2, spec.k, spec.r)
+    x = _draw(x_noise, clean_x, substream(spec.seed, "x", trial, spec.experiment))
+    y = _draw(y_noise, clean_y, substream(spec.seed, "y", trial, spec.experiment))
+    init = _draw_factors(substream(spec.seed, "init", trial), spec.n1, spec.n2, spec.k, spec.r)
     score = ObjectiveSpec(MATCHED_VARIANT[spec.experiment], spec.lam)
     base = objective(score, init.a, init.b, init.s, clean_x, clean_y, eps=spec.eps)
     errors = np.empty(len(VARIANTS))

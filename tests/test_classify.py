@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from ssnmf import classify
-from ssnmf.exceptions import ShapeError
+from ssnmf.exceptions import ParseError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, frobenius_sq, i_divergence
 from ssnmf.rng import substream
 from ssnmf.solver import SsnmfConfig
@@ -77,6 +79,22 @@ def test_transform_validates_inputs():
         classify.transform(model, np.ones((4, 5)), iters=0)
 
 
+def test_transform_rejects_fractional_mask_and_non_finite_data():
+    cfg = SsnmfConfig(r=2)
+    model = classify.ClassifierModel(np.ones((4, 2)), np.ones((2, 2)), ModelVariant.DIV_FRO, cfg)
+    x = np.ones((4, 5))
+    w = np.ones((4, 5))
+    w[1, 1] = 0.0
+    assert np.all(np.isfinite(classify.transform(model, x, w_test=w, iters=3)))
+    w[1, 1] = 0.5
+    with pytest.raises(ShapeError, match="w_test must be a 0/1 mask"):
+        classify.transform(model, x, w_test=w)
+    for bad in (np.nan, np.inf):
+        x[3, 4] = bad
+        with pytest.raises(ShapeError, match="x_test must be entrywise finite"):
+            classify.transform(model, x)
+
+
 def test_predict_shape_check():
     model = classify.ClassifierModel(
         np.ones((4, 2)), np.ones((3, 2)), ModelVariant.FRO_FRO, SsnmfConfig(r=2)
@@ -118,3 +136,18 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.b_train, model.b_train)
     assert back.variant is model.variant
     assert back.config == model.config
+
+
+def test_load_model_missing_field_is_parse_error(tmp_path):
+    model = classify.ClassifierModel(
+        np.ones((3, 2)), np.ones((2, 2)), ModelVariant.FRO_FRO, SsnmfConfig(r=2)
+    )
+    classify.save_model(model, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["lam"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="lam"):
+        classify.load_model(tmp_path)
+    (tmp_path / "manifest.json").write_text("[1, 2]")
+    with pytest.raises(ParseError, match="JSON object"):
+        classify.load_model(tmp_path)

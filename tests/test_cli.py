@@ -80,6 +80,28 @@ def test_negative_data_exits_two(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_fractional_mask_exits_two(tmp_path, fit_inputs, capsys):
+    w = np.ones((6, 9))
+    w[0, 2] = 0.0
+    mask = write_matrix(tmp_path / "w.csv", w)
+    assert cli.main(["fit", "--x", fit_inputs["x"], "--w", mask, "--r", "2",
+                     "--max-iters", "3", "--out-dir", str(tmp_path / "o")]) == 0
+    w[1, 1] = 0.5
+    mask = write_matrix(tmp_path / "w.csv", w)
+    assert cli.main(["fit", "--x", fit_inputs["x"], "--w", mask, "--r", "2",
+                     "--max-iters", "3", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "0/1 mask" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_data_exits_two(tmp_path, bad, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,2.0\n{bad},3.0\n")
+    assert cli.main(["fit", "--x", str(path), "--r", "1",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_overflowing_fit_exits_one(tmp_path, capsys):
     # squared residual of 1e200 entries overflows, which is a fit failure (1),
     # not a usage failure (2)
@@ -109,6 +131,21 @@ def test_config_must_be_json_object(tmp_path, fit_inputs):
     cfg.write_text("{not json")
     assert cli.main(["fit", "--x", fit_inputs["x"], "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("value,message", [(2.7, "r must be an integer"),
+                                           (True, "r must be an integer"),
+                                           (None, "may not be null: r")])
+def test_config_integer_option_must_be_integral(tmp_path, fit_inputs, value, message,
+                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": value}))
+    assert cli.main(["fit", "--x", fit_inputs["x"], "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    cfg.write_text(json.dumps({"r": 2.0, "max_iters": 2}))
+    assert cli.main(["fit", "--x", fit_inputs["x"], "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_config_supplies_values(tmp_path, fit_inputs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssnmf import evalcluster
-from ssnmf.exceptions import EvaluationError
+from ssnmf.exceptions import EvaluationError, ShapeError
 
 
 def test_hard_assign_one_hot_with_tie_to_first_row():
@@ -74,6 +74,14 @@ def test_mean_score_bounds_on_random_pairs():
 def test_mean_score_rejects_bad_mode():
     with pytest.raises(ValueError):
         evalcluster.mean_score(np.eye(2), np.eye(2), mode="fuzzy")
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_mean_score_rejects_non_finite_codes(mode):
+    s = np.eye(2)
+    s[0, 0] = np.nan
+    with pytest.raises(ShapeError, match="finite"):
+        evalcluster.mean_score(s, np.eye(2), mode=mode)
 
 
 class FakeVocab:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssnmf import matrix
-from ssnmf.exceptions import ConfigError, ParseError, ShapeError
+from ssnmf.exceptions import ParseError, ShapeError
 
 
 def test_as_matrix_coerces_nested_lists():
@@ -27,64 +27,28 @@ def test_check_nonnegative_names_the_entry():
     assert "(1, 1)" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_nonnegative_rejects_non_finite(bad):
+    m = np.ones((2, 3))
+    m[1, 2] = bad
+    with pytest.raises(ShapeError, match=r"finite.*\(1, 2\)"):
+        matrix.check_nonnegative(m, "x")
+
+
+def test_as_mask_accepts_zero_one_only():
+    like = np.ones((2, 2))
+    assert matrix.as_mask(None, like, "w", "x") is None
+    assert np.array_equal(matrix.as_mask([[0, 1], [1, 0]], like, "w", "x"), [[0, 1], [1, 0]])
+    for bad in (0.5, 2.0, -1.0, np.nan):
+        with pytest.raises(ShapeError, match="0/1 mask"):
+            matrix.as_mask([[0, 1], [1, bad]], like, "w", "x")
+    with pytest.raises(ShapeError, match="does not match"):
+        matrix.as_mask(np.ones((2, 3)), like, "w", "x")
+
+
 def test_check_nonnegative_passes_zero():
     m = np.zeros((2, 3))
     assert matrix.check_nonnegative(m) is m
-
-
-def test_hadamard_values():
-    got = matrix.hadamard([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-    assert np.array_equal(got, [[5, 12], [21, 32]])
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matrix.hadamard([[1, 2]], [[1], [2]])
-
-
-def test_safe_divide_guards_zero_denominator():
-    got = matrix.safe_divide([[1.0]], [[0.0]], eps=0.5)
-    assert got[0, 0] == pytest.approx(2.0)
-    got = matrix.safe_divide([[6.0]], [[2.0]], eps=1.0)
-    assert got[0, 0] == pytest.approx(2.0)
-
-
-def test_safe_divide_default_eps_is_finite():
-    got = matrix.safe_divide([[1.0]], [[0.0]])
-    assert np.isfinite(got[0, 0])
-    assert got[0, 0] == pytest.approx(1e10)
-
-
-def test_safe_divide_rejects_bad_eps():
-    with pytest.raises(ConfigError):
-        matrix.safe_divide([[1.0]], [[1.0]], eps=0.0)
-    with pytest.raises(ConfigError):
-        matrix.safe_divide([[1.0]], [[1.0]], eps=-1e-3)
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(11)
-    a = rng.random((3, 4))
-    b = rng.random((4, 2))
-    want = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(4):
-                want[i, j] += a[i, k] * b[k, j]
-    got = matrix.matmul(a, b)
-    assert np.allclose(got, want, rtol=0, atol=1e-14)
-
-
-def test_matmul_inner_dim_mismatch():
-    with pytest.raises(ShapeError):
-        matrix.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_transpose():
-    t = matrix.transpose([[1, 2, 3], [4, 5, 6]])
-    assert t.shape == (3, 2)
-    assert t.flags["C_CONTIGUOUS"]
-    assert np.array_equal(t, [[1, 4], [2, 5], [3, 6]])
 
 
 def test_csv_roundtrip_is_exact(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ssnmf import matrix
-from ssnmf.exceptions import ConfigError, FitError
+from ssnmf.classify import ClassifierModel, transform
+from ssnmf.exceptions import ConfigError, FitError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
 from ssnmf.solver import (
     FACTOR_FLOOR,
@@ -10,8 +11,10 @@ from ssnmf.solver import (
     SsnmfConfig,
     _apply_floor,
     fit,
+    gradient,
     initialize,
     mu_step,
+    step_scale,
 )
 
 
@@ -79,18 +82,43 @@ def test_exact_factorization_is_fixed_point(variant):
     assert np.allclose(out.s, state.s, rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_none_mask_matches_explicit_ones(variant):
+def _mu_step_factors(variant, state, x, y, w, l):
+    out = mu_step(variant, state.copy(), x, y, w, l, lam=0.8)
+    return out.a, out.b, out.s
+
+
+def _transform_codes(variant, state, x, y, w, l):
+    model = ClassifierModel(state.a, state.b, variant, SsnmfConfig(r=state.a.shape[1]))
+    return (transform(model, x, w, iters=20),)
+
+
+NONE_MASK_PATHS = {
+    "mu_step": _mu_step_factors,
+    "gradient": lambda v, st, x, y, w, l: gradient(v, st, x, y, w, l, lam=0.8),
+    "step_scale": lambda v, st, x, y, w, l: step_scale(v, st, x, y, w, l, lam=0.8),
+    "transform": _transform_codes,
+}
+# the mu_step cases keep their original ids
+NONE_MASK_CASES = [
+    pytest.param(path, variant, id=str(variant) if path == "mu_step" else f"{path}-{variant}")
+    for path in NONE_MASK_PATHS
+    for variant in VARIANTS
+]
+
+
+@pytest.mark.parametrize("path,variant", NONE_MASK_CASES)
+def test_none_mask_matches_explicit_ones(path, variant):
     # the None fast path sums in a different order than ones @ s.T, so the
     # agreement is to rounding, not bitwise
     state, x, y = random_system(23)
     w = np.ones_like(x)
     l = np.ones_like(y)
-    plain = mu_step(variant, state.copy(), x, y, lam=0.8)
-    masked = mu_step(variant, state.copy(), x, y, w, l, lam=0.8)
-    assert np.allclose(plain.a, masked.a, rtol=1e-12, atol=0)
-    assert np.allclose(plain.b, masked.b, rtol=1e-12, atol=0)
-    assert np.allclose(plain.s, masked.s, rtol=1e-12, atol=0)
+    run = NONE_MASK_PATHS[path]
+    plain = run(variant, state, x, y, None, None)
+    masked = run(variant, state, x, y, w, l)
+    for p, m in zip(plain, masked):
+        p, m = np.broadcast_arrays(p, m)
+        assert np.allclose(p, m, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -187,8 +215,6 @@ def test_fit_rejects_infinite_start():
 
 
 def test_fit_validates_shapes_and_signs():
-    from ssnmf.exceptions import ShapeError
-
     _, x, y = random_system(61)
     cfg = SsnmfConfig(r=2, max_iters=2)
     with pytest.raises(ShapeError):
@@ -197,6 +223,33 @@ def test_fit_validates_shapes_and_signs():
     x_bad[0, 0] = -1.0
     with pytest.raises(ShapeError):
         fit(ModelVariant.FRO_FRO, x_bad, y, cfg)
+
+
+def test_fit_accepts_binary_masks_rejects_fractional():
+    # the multiplicative updates descend the objective only for 0/1 masks
+    _, x, y = random_system(71)
+    cfg = SsnmfConfig(r=2, max_iters=3)
+    w = (np.arange(x.size).reshape(x.shape) % 3 != 0).astype(float)
+    l = np.zeros_like(y)
+    fit(ModelVariant.FRO_FRO, x, y, cfg, w=w, l=l)
+    for name in ("w", "l"):
+        masks = {"w": w, "l": l}
+        masks[name] = np.full_like(masks[name], 0.5)
+        with pytest.raises(ShapeError, match=f"{name} must be a 0/1 mask"):
+            fit(ModelVariant.FRO_FRO, x, y, cfg, **masks)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_input(bad):
+    _, x, y = random_system(73)
+    cfg = SsnmfConfig(r=2, max_iters=3)
+    x[2, 3] = bad
+    with pytest.raises(ShapeError, match=r"x must be entrywise finite.*\(2, 3\)"):
+        fit(ModelVariant.DIV_DIV, x, y, cfg)
+    l = np.ones_like(y)
+    l[0, 0] = bad
+    with pytest.raises(ShapeError, match="l must be a 0/1 mask"):
+        fit(ModelVariant.DIV_DIV, np.ones((6, 8)), y, cfg, l=l)
 
 
 def test_fit_result_save_roundtrip(tmp_path):
