@@ -123,9 +123,7 @@ def save_model(model: ClassifierModel, out_dir, vocabulary: Optional[str] = None
     matrix.write_csv(os.path.join(out_dir, "A.csv"), model.a_train)
     matrix.write_csv(os.path.join(out_dir, "B.csv"), model.b_train)
     manifest = {"variant": model.variant.key, "vocabulary": vocabulary, **asdict(model.config)}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matrix.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def load_model(model_dir) -> ClassifierModel:

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: fit, classify, synth-bench, prep, topics, cluster-score. Every
-command accepts --config JSON; explicit flags override config values. All
-randomness derives from the single --seed. Reports are deterministic given
-config + seed; pass --no-timestamp to drop the one volatile field.
+Subcommands: fit, classify, synth-bench, prep, topics, cluster-score. Each
+command's options are declared once, in OPTIONS; that table builds the
+parser, the defaults and the checks on --config values. Every command accepts
+--config JSON; explicit flags override config values, and a config value must
+have its option's JSON type. Commands that draw randomness take one --seed.
+Reports are deterministic given config + seed; pass --no-timestamp to drop the
+one volatile field.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or I/O failure.
 """
@@ -14,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -34,6 +37,107 @@ from .solver import SsnmfConfig, fit
 GRID_TOLS = (1e-4, 1e-3, 1e-2)
 GRID_LAMBDAS = (10.0, 100.0, 1000.0)
 
+# ---------------------------------------------------------------- options
+
+# subcommand -> {name: (type, default, help)}. The name is the config key and,
+# with "_" written as "-", the flag. The type is int, float, str, bool, or a
+# tuple of the allowed strings. A command lists only the options it reads.
+_OUT_DIR = {"out_dir": (str, ".", "output directory")}
+_SEED = {"seed": (int, 0, "top-level random seed")}
+_EPS = {"eps": (float, 1e-10, "guard added to divergence ratios")}
+OPTIONS = {
+    "fit": {
+        "x": (str, None, "data matrix CSV"),
+        "y": (str, None, "label matrix CSV"),
+        "w": (str, None, "data mask CSV"),
+        "l": (str, None, "label mask CSV"),
+        "variant": (str, "fro-fro", "fro-fro, fro-div, div-fro, or div-div"),
+        "r": (int, 5, "factorization rank"),
+        "lam": (float, 1.0, "supervision weight"),
+        "max_iters": (int, 100, None),
+        "tol": (float, 0.0, "relative-error stopping threshold"),
+        **_EPS, **_SEED, **_OUT_DIR,
+    },
+    "classify": {
+        "x_train": (str, None, None),
+        "y_train": (str, None, None),
+        "x_test": (str, None, None),
+        "y_test": (str, None, None),
+        "w_train": (str, None, None),
+        "w_test": (str, None, None),
+        "x_val": (str, None, None),
+        "y_val": (str, None, None),
+        "variant": (str, "div-fro", None),
+        "r": (int, 13, None),
+        "lam": (float, 100.0, None),
+        "max_iters": (int, 50, None),
+        "tol": (float, 1e-3, None),
+        "transform_iters": (int, cls.DEFAULT_TRANSFORM_ITERS, None),
+        "grid": (bool, False, "sweep tol and lam on the validation split"),
+        "save_model": (str, None, "model output directory"),
+        **_EPS, **_SEED, **_OUT_DIR,
+    },
+    "synth-bench": {
+        "experiment": (tuple(map(str, synth.EXPERIMENT_IDS)) + ("all",), "all", None),
+        "n1": (int, 100, None),
+        "n2": (int, 100, None),
+        "k": (int, 100, None),
+        "r": (int, 5, None),
+        "density": (float, 0.5, None),
+        "lam": (float, 1.0, None),
+        "max_iters": (int, 20000, None),
+        "trials": (int, 5, None),
+        "workers": (int, None, "parallel trial workers; when unset, the SSNMF_THREADS "
+                               "environment variable, else 1 (never more than trials)"),
+        **_EPS, **_SEED, **_OUT_DIR,
+    },
+    "prep": {
+        "input": (str, None, "corpus directory tree or JSONL file"),
+        "format": (("auto", "tree", "jsonl"), "auto", None),
+        "min_df": (int, 5, None),
+        "max_df_ratio": (float, 0.7, None),
+        "max_size": (int, 5000, None),
+        "stopword_file": (str, None, None),
+        "no_stopwords": (bool, False, None),
+        "train_ratio": (float, 0.6, None),
+        "val_ratio": (float, 0.2, None),
+        "test_ratio": (float, 0.2, None),
+        "per_class_cap": (int, None, None),
+        "no_strip": (bool, False, None),
+        **_SEED, **_OUT_DIR,
+    },
+    "topics": {
+        "a": (str, None, "dictionary matrix CSV"),
+        "vocab": (str, None, "vocabulary text file"),
+        "count": (int, 10, None),
+        **_OUT_DIR,
+    },
+    "cluster-score": {
+        "s": (str, None, "representation matrix CSV"),
+        "m": (str, None, "ground-truth membership CSV"),
+        "mode": (("hard", "soft", "both"), "both", None),
+        **_OUT_DIR,
+    },
+}
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _config_value(key, kind, value):
+    """A config file value as its option's type. 2.0 is an integer; 2.7, true
+    and "2" are not, and no other JSON type stands in for a string or a bool."""
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+    elif kind in (int, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        want = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _KIND_NAMES[kind]
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
+
 
 def _load_config_file(path) -> dict:
     try:
@@ -46,102 +150,75 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge config file values and flags over defaults. Flags win."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args) -> dict:
+    """The command's options: table defaults, then config file values, then
+    flags. Flags win."""
+    table = OPTIONS[args.command]
+    opts = {name: default for name, (_, default, _) in table.items()}
+    if args.config:
         cfg = _load_config_file(args.config)
-        unknown = sorted(set(cfg) - set(defaults))
+        unknown = sorted(set(cfg) - set(table))
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-        required = sorted(k for k, v in cfg.items() if v is None and defaults[k] is not None)
-        if required:
-            raise ConfigError(f"config fields may not be null: {', '.join(required)}")
-        resolved.update(cfg)
-    for key in defaults:
-        flag = getattr(args, key, None)
+        for key, value in cfg.items():
+            kind, default, _ = table[key]
+            if value is None and default is not None:
+                raise ConfigError(f"config fields may not be null: {key}")
+            opts[key] = None if value is None else _config_value(key, kind, value)
+    for key in table:
+        flag = getattr(args, key)
         if flag is not None:
-            resolved[key] = flag
-    return resolved
+            opts[key] = flag
+    return opts
+
+
+def _require(opts, who, *keys) -> None:
+    missing = ["--" + key.replace("_", "-") for key in keys if opts[key] is None]
+    if missing:
+        raise ConfigError(f"{who} requires {' and '.join(missing)}")
+
+
+def _build(config_cls, opts):
+    """A config dataclass from the resolved options named like its fields."""
+    return config_cls(**{f.name: opts[f.name] for f in fields(config_cls)})
 
 
 def _write_report(path, payload: dict, no_timestamp: bool) -> None:
     payload = dict(payload)
     if not no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matrix.write_json(path, payload)
 
 
-def _read_matrix_arg(path, name):
+def _read_matrix_arg(opts, key):
+    path = opts[key]
     if path is None:
         return None
     if not os.path.exists(path):
-        raise ParseError(f"{name} file not found: {path}")
+        raise ParseError(f"{key} file not found: {path}")
     return matrix.read_csv(path)
 
 
-def _integer(opts, key):
-    """An integer option, or None if unset; a config value of 2.7 or true is an
-    error rather than 2 or 1."""
-    value = opts[key]
-    if value is None:
-        return None
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _solver_config(opts) -> SsnmfConfig:
-    return SsnmfConfig(
-        r=_integer(opts, "r"),
-        lam=float(opts["lam"]),
-        max_iters=_integer(opts, "max_iters"),
-        tol=float(opts["tol"]),
-        eps=float(opts["eps"]),
-        seed=_integer(opts, "seed"),
-    )
+def _out_dir(opts) -> str:
+    os.makedirs(opts["out_dir"], exist_ok=True)
+    return opts["out_dir"]
 
 
 # ---------------------------------------------------------------- fit
 
-FIT_DEFAULTS = {
-    "x": None,
-    "y": None,
-    "w": None,
-    "l": None,
-    "variant": "fro-fro",
-    "r": 5,
-    "lam": 1.0,
-    "max_iters": 100,
-    "tol": 0.0,
-    "eps": 1e-10,
-    "seed": 0,
-    "out_dir": ".",
-}
-
-
 def cmd_fit(args) -> int:
-    opts = _resolve(args, FIT_DEFAULTS)
-    if opts["x"] is None:
-        raise ConfigError("fit requires --x (data matrix CSV)")
-    x = _read_matrix_arg(opts["x"], "x")
-    y = _read_matrix_arg(opts["y"], "y")
-    w = _read_matrix_arg(opts["w"], "w")
-    l = _read_matrix_arg(opts["l"], "l")
+    opts = _resolve(args)
+    _require(opts, "fit", "x")
+    x, y, w, l = (_read_matrix_arg(opts, key) for key in ("x", "y", "w", "l"))
     if y is None:
         # unsupervised: empty label block contributes nothing to the objective
         y = np.zeros((1, x.shape[1]))
         l = np.zeros_like(y)
     variant = ModelVariant.parse(opts["variant"])
-    config = _solver_config(opts)
-    result = fit(variant, x, y, config, w=w, l=l)
+    result = fit(variant, x, y, _build(SsnmfConfig, opts), w=w, l=l)
     out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    matrix.write_csv(os.path.join(out_dir, "A.csv"), result.state.a)
-    matrix.write_csv(os.path.join(out_dir, "B.csv"), result.state.b)
-    matrix.write_csv(os.path.join(out_dir, "S.csv"), result.state.s)
+    result.save(out_dir)
+    # save writes result.json without the volatile field; the report adds it
     _write_report(os.path.join(out_dir, "result.json"), result.to_dict(),
                   args.no_timestamp)
     print(f"fit {variant.key}: {result.iterations_run} iterations, "
@@ -150,29 +227,6 @@ def cmd_fit(args) -> int:
 
 
 # ---------------------------------------------------------------- classify
-
-CLASSIFY_DEFAULTS = {
-    "x_train": None,
-    "y_train": None,
-    "x_test": None,
-    "y_test": None,
-    "w_train": None,
-    "w_test": None,
-    "x_val": None,
-    "y_val": None,
-    "variant": "div-fro",
-    "r": 13,
-    "lam": 100.0,
-    "max_iters": 50,
-    "tol": 1e-3,
-    "eps": 1e-10,
-    "seed": 0,
-    "transform_iters": cls.DEFAULT_TRANSFORM_ITERS,
-    "grid": False,
-    "save_model": None,
-    "out_dir": ".",
-}
-
 
 def _train_eval(variant, x_train, y_train, w_train, x_eval, w_eval, y_eval,
                 config, transform_iters):
@@ -184,26 +238,20 @@ def _train_eval(variant, x_train, y_train, w_train, x_eval, w_eval, y_eval,
 
 
 def cmd_classify(args) -> int:
-    opts = _resolve(args, CLASSIFY_DEFAULTS)
-    for key in ("x_train", "y_train", "x_test"):
-        if opts[key] is None:
-            raise ConfigError(f"classify requires --{key.replace('_', '-')}")
-    x_train = _read_matrix_arg(opts["x_train"], "x_train")
-    y_train = _read_matrix_arg(opts["y_train"], "y_train")
-    x_test = _read_matrix_arg(opts["x_test"], "x_test")
-    y_test = _read_matrix_arg(opts["y_test"], "y_test")
-    w_train = _read_matrix_arg(opts["w_train"], "w_train")
-    w_test = _read_matrix_arg(opts["w_test"], "w_test")
+    opts = _resolve(args)
+    _require(opts, "classify", "x_train", "y_train", "x_test")
+    x_train, y_train, x_test, y_test, w_train, w_test = (
+        _read_matrix_arg(opts, key)
+        for key in ("x_train", "y_train", "x_test", "y_test", "w_train", "w_test"))
     variant = ModelVariant.parse(opts["variant"])
-    transform_iters = _integer(opts, "transform_iters")
-    base = _solver_config(opts)
+    transform_iters = opts["transform_iters"]
+    base = _build(SsnmfConfig, opts)
     chosen = {"tol": base.tol, "lam": base.lam}
     grid_results = None
     if opts["grid"]:
-        if opts["x_val"] is None or opts["y_val"] is None:
-            raise ConfigError("--grid requires --x-val and --y-val")
-        x_val = _read_matrix_arg(opts["x_val"], "x_val")
-        y_val = _read_matrix_arg(opts["y_val"], "y_val")
+        _require(opts, "--grid", "x_val", "y_val")
+        x_val = _read_matrix_arg(opts, "x_val")
+        y_val = _read_matrix_arg(opts, "y_val")
         best_acc = -1.0
         grid_results = []
         for tol in GRID_TOLS:
@@ -222,8 +270,7 @@ def cmd_classify(args) -> int:
         variant, x_train, y_train, w_train,
         x_test, w_test, y_test, config, transform_iters,
     )
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(opts)
     matrix.write_csv(os.path.join(out_dir, "predictions.csv"), y_pred)
     if opts["save_model"]:
         cls.save_model(model, opts["save_model"])
@@ -250,43 +297,15 @@ def cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------- synth-bench
 
-SYNTH_DEFAULTS = {
-    "experiment": "all",
-    "n1": 100,
-    "n2": 100,
-    "k": 100,
-    "r": 5,
-    "density": 0.5,
-    "lam": 1.0,
-    "max_iters": 20000,
-    "trials": 5,
-    "seed": 0,
-    "eps": 1e-10,
-    "workers": None,
-    "out_dir": ".",
-}
-
-
 def cmd_synth_bench(args) -> int:
-    opts = _resolve(args, SYNTH_DEFAULTS)
-    raw = str(opts["experiment"])
-    if raw == "all":
+    opts = _resolve(args)
+    if opts["experiment"] == "all":
         experiments = list(synth.EXPERIMENT_IDS)
     else:
-        try:
-            experiments = [int(raw)]
-        except ValueError:
-            raise ConfigError(f"experiment must be 1..4 or 'all', got {raw!r}") from None
-    base = synth.ExperimentSpec(
-        experiment=experiments[0],
-        n1=_integer(opts, "n1"), n2=_integer(opts, "n2"), k=_integer(opts, "k"),
-        r=_integer(opts, "r"), density=float(opts["density"]), lam=float(opts["lam"]),
-        max_iters=_integer(opts, "max_iters"), trials=_integer(opts, "trials"),
-        seed=_integer(opts, "seed"), eps=float(opts["eps"]),
-    )
-    grid = synth.run_benchmark(base, experiments, workers=_integer(opts, "workers"))
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+        experiments = [int(opts["experiment"])]
+    base = _build(synth.ExperimentSpec, {**opts, "experiment": experiments[0]})
+    grid = synth.run_benchmark(base, experiments, workers=opts["workers"])
+    out_dir = _out_dir(opts)
     grid.to_csv(os.path.join(out_dir, "errorgrid.csv"))
     payload = grid.to_dict()
     payload["column_minima"] = [grid.variants[i].key for i in grid.column_minima()]
@@ -305,47 +324,20 @@ def cmd_synth_bench(args) -> int:
 
 # ---------------------------------------------------------------- prep
 
-PREP_DEFAULTS = {
-    "input": None,
-    "format": "auto",
-    "min_df": 5,
-    "max_df_ratio": 0.7,
-    "max_size": 5000,
-    "stopword_file": None,
-    "no_stopwords": False,
-    "train_ratio": 0.6,
-    "val_ratio": 0.2,
-    "test_ratio": 0.2,
-    "per_class_cap": None,
-    "seed": 0,
-    "no_strip": False,
-    "out_dir": ".",
-}
-
-
 def cmd_prep(args) -> int:
-    opts = _resolve(args, PREP_DEFAULTS)
-    if opts["input"] is None:
-        raise ConfigError("prep requires --input (corpus directory or JSONL file)")
+    opts = _resolve(args)
+    _require(opts, "prep", "input")
     path = opts["input"]
     if not os.path.exists(path):
         raise ParseError(f"input not found: {path}")
     fmt = opts["format"]
     if fmt == "auto":
         fmt = "tree" if os.path.isdir(path) else "jsonl"
-    strip = not opts["no_strip"]
-    if fmt == "tree":
-        corpus = textprep.load_corpus_tree(path, strip=strip)
-    elif fmt == "jsonl":
-        corpus = textprep.load_corpus_jsonl(path, strip=strip)
-    else:
-        raise ConfigError(f"format must be tree, jsonl, or auto, got {fmt!r}")
-    ratios = (float(opts["train_ratio"]), float(opts["val_ratio"]),
-              float(opts["test_ratio"]))
+    load = textprep.load_corpus_tree if fmt == "tree" else textprep.load_corpus_jsonl
+    corpus = load(path, strip=not opts["no_strip"])
+    ratios = (opts["train_ratio"], opts["val_ratio"], opts["test_ratio"])
     train, val, test = textprep.split(
-        corpus, ratios=ratios,
-        per_class_cap=_integer(opts, "per_class_cap"),
-        seed=_integer(opts, "seed"),
+        corpus, ratios=ratios, per_class_cap=opts["per_class_cap"], seed=opts["seed"],
     )
     if opts["no_stopwords"]:
         stop = frozenset()
@@ -355,13 +347,10 @@ def cmd_prep(args) -> int:
     else:
         stop = textprep.stopwords()
     vocab = textprep.build_vocabulary(
-        train, stop_terms=stop,
-        min_df=_integer(opts, "min_df"),
-        max_df_ratio=float(opts["max_df_ratio"]),
-        max_size=_integer(opts, "max_size"),
+        train, stop_terms=stop, min_df=opts["min_df"],
+        max_df_ratio=opts["max_df_ratio"], max_size=opts["max_size"],
     )
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(opts)
     vocab.save(os.path.join(out_dir, "vocabulary.txt"))
     k = len(corpus.class_names)
     n_sub = len(corpus.subgroup_names)
@@ -391,31 +380,20 @@ def cmd_prep(args) -> int:
 
 # ---------------------------------------------------------------- topics
 
-TOPICS_DEFAULTS = {
-    "a": None,
-    "vocab": None,
-    "count": 10,
-    "out_dir": ".",
-}
-
-
 def cmd_topics(args) -> int:
-    opts = _resolve(args, TOPICS_DEFAULTS)
-    if opts["a"] is None or opts["vocab"] is None:
-        raise ConfigError("topics requires --a (dictionary CSV) and --vocab")
-    a = _read_matrix_arg(opts["a"], "a")
+    opts = _resolve(args)
+    _require(opts, "topics", "a", "vocab")
+    a = _read_matrix_arg(opts, "a")
     if not os.path.exists(opts["vocab"]):
         raise ParseError(f"vocab file not found: {opts['vocab']}")
     vocab = textprep.load_vocabulary(opts["vocab"])
-    count = _integer(opts, "count")
+    count = opts["count"]
     keywords = evalcluster.top_keywords(a, vocab, count=count)
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     payload = {
         "count": count,
         "topics": [{"topic": i, "keywords": words} for i, words in enumerate(keywords)],
     }
-    _write_report(os.path.join(out_dir, "topics.json"), payload, args.no_timestamp)
+    _write_report(os.path.join(_out_dir(opts), "topics.json"), payload, args.no_timestamp)
     for i, words in enumerate(keywords):
         print(f"topic {i:>3}  " + " ".join(words))
     return 0
@@ -423,30 +401,17 @@ def cmd_topics(args) -> int:
 
 # ---------------------------------------------------------------- cluster-score
 
-CLUSTER_DEFAULTS = {
-    "s": None,
-    "m": None,
-    "mode": "both",
-    "out_dir": ".",
-}
-
-
 def cmd_cluster_score(args) -> int:
-    opts = _resolve(args, CLUSTER_DEFAULTS)
-    if opts["s"] is None or opts["m"] is None:
-        raise ConfigError("cluster-score requires --s and --m")
-    s = _read_matrix_arg(opts["s"], "s")
-    m = _read_matrix_arg(opts["m"], "m")
+    opts = _resolve(args)
+    _require(opts, "cluster-score", "s", "m")
+    s = _read_matrix_arg(opts, "s")
+    m = _read_matrix_arg(opts, "m")
     mode = opts["mode"]
-    if mode not in ("hard", "soft", "both"):
-        raise ConfigError(f"mode must be hard, soft, or both, got {mode!r}")
     modes = ("hard", "soft") if mode == "both" else (mode,)
     payload = {}
     for item in modes:
         payload[f"{item}_mean_score"] = evalcluster.mean_score(s, m, mode=item)
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_report(os.path.join(out_dir, "scores.json"), payload, args.no_timestamp)
+    _write_report(os.path.join(_out_dir(opts), "scores.json"), payload, args.no_timestamp)
     for item in modes:
         print(f"{item} mean score P: {payload[f'{item}_mean_score']:.4f}")
     return 0
@@ -454,12 +419,14 @@ def cmd_cluster_score(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--seed", type=int, help="top-level random seed")
-    sub.add_argument("--no-timestamp", action="store_true",
-                     help="omit the timestamp field from reports")
+COMMANDS = {
+    "fit": (cmd_fit, "factorize a data (and optional label) matrix"),
+    "classify": (cmd_classify, "train, project test data, report accuracy"),
+    "synth-bench": (cmd_synth_bench, "noise-model benchmark over variants"),
+    "prep": (cmd_prep, "corpus to TF-IDF matrices and splits"),
+    "topics": (cmd_topics, "top keywords per topic column"),
+    "cluster-score": (cmd_cluster_score, "mean topic score P against ground truth"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,90 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="semi-supervised NMF: training, classification, benchmarks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("fit", help="factorize a data (and optional label) matrix")
-    _add_common(p)
-    p.add_argument("--x", help="data matrix CSV")
-    p.add_argument("--y", help="label matrix CSV")
-    p.add_argument("--w", help="data mask CSV")
-    p.add_argument("--l", help="label mask CSV")
-    p.add_argument("--variant", help="fro-fro, fro-div, div-fro, or div-div")
-    p.add_argument("--r", type=int, help="factorization rank")
-    p.add_argument("--lam", type=float, help="supervision weight")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float, help="relative-error stopping threshold")
-    p.add_argument("--eps", type=float)
-    p.set_defaults(func=cmd_fit)
-
-    p = subs.add_parser("classify", help="train, project test data, report accuracy")
-    _add_common(p)
-    p.add_argument("--x-train", dest="x_train")
-    p.add_argument("--y-train", dest="y_train")
-    p.add_argument("--x-test", dest="x_test")
-    p.add_argument("--y-test", dest="y_test")
-    p.add_argument("--w-train", dest="w_train")
-    p.add_argument("--w-test", dest="w_test")
-    p.add_argument("--x-val", dest="x_val")
-    p.add_argument("--y-val", dest="y_val")
-    p.add_argument("--variant")
-    p.add_argument("--r", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--transform-iters", dest="transform_iters", type=int)
-    p.add_argument("--grid", action="store_true", default=None,
-                   help="sweep tol and lam on the validation split")
-    p.add_argument("--save-model", dest="save_model", help="model output directory")
-    p.set_defaults(func=cmd_classify)
-
-    p = subs.add_parser("synth-bench", help="noise-model benchmark over variants")
-    _add_common(p)
-    p.add_argument("--experiment", help="1..4 or all")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--workers", type=int,
-                   help="parallel trial workers (SSNMF_THREADS also caps this)")
-    p.set_defaults(func=cmd_synth_bench)
-
-    p = subs.add_parser("prep", help="corpus to TF-IDF matrices and splits")
-    _add_common(p)
-    p.add_argument("--input", help="corpus directory tree or JSONL file")
-    p.add_argument("--format", choices=("auto", "tree", "jsonl"))
-    p.add_argument("--min-df", dest="min_df", type=int)
-    p.add_argument("--max-df-ratio", dest="max_df_ratio", type=float)
-    p.add_argument("--max-size", dest="max_size", type=int)
-    p.add_argument("--stopword-file", dest="stopword_file")
-    p.add_argument("--no-stopwords", dest="no_stopwords", action="store_true",
-                   default=None)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float)
-    p.add_argument("--val-ratio", dest="val_ratio", type=float)
-    p.add_argument("--test-ratio", dest="test_ratio", type=float)
-    p.add_argument("--per-class-cap", dest="per_class_cap", type=int)
-    p.add_argument("--no-strip", dest="no_strip", action="store_true", default=None)
-    p.set_defaults(func=cmd_prep)
-
-    p = subs.add_parser("topics", help="top keywords per topic column")
-    _add_common(p)
-    p.add_argument("--a", help="dictionary matrix CSV")
-    p.add_argument("--vocab", help="vocabulary text file")
-    p.add_argument("--count", type=int)
-    p.set_defaults(func=cmd_topics)
-
-    p = subs.add_parser("cluster-score", help="mean topic score P against ground truth")
-    _add_common(p)
-    p.add_argument("--s", help="representation matrix CSV")
-    p.add_argument("--m", help="ground-truth membership CSV")
-    p.add_argument("--mode", choices=("hard", "soft", "both"))
-    p.set_defaults(func=cmd_cluster_score)
-
+    for command, (func, text) in COMMANDS.items():
+        p = subs.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp field from reports")
+        for name, (kind, _, help_text) in OPTIONS[command].items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:  # None when absent, so a config value can stand
+                p.add_argument(flag, action="store_true", default=None, help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 

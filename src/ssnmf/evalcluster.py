@@ -10,7 +10,6 @@ of the best-matching group it captures:
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -117,9 +116,7 @@ class TopicReport:
         return "\n".join(lines)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        matrix.write_json(path, self.to_dict())
 
 
 def topic_report(

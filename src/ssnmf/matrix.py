@@ -1,4 +1,5 @@
-"""Dense nonnegative matrices: validation at the package boundary and CSV I/O.
+"""Dense nonnegative matrices: validation at the package boundary, CSV I/O,
+and the one JSON writer every report and manifest goes through.
 
 Matrices are plain float64 numpy arrays in row-major order. The helpers here
 add the validation the factorization code relies on: shape agreement,
@@ -6,6 +7,8 @@ finite nonnegative data and 0/1 masks.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -56,6 +59,13 @@ def write_csv(path, a) -> None:
         for row in a:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
+
+
+def write_json(path, payload) -> None:
+    """Write as JSON indented by 2 with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_csv(path) -> np.ndarray:

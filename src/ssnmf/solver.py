@@ -11,10 +11,9 @@ explicit-ones path to rounding.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -23,6 +22,22 @@ from . import matrix
 from .exceptions import ConfigError, FitError, ShapeError
 from .objectives import Loss, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
+
+
+# the lowest allowed value of each bounded numeric knob, for every config dataclass
+_LOWEST = {"r": 1, "max_iters": 1, "n1": 1, "n2": 1, "k": 1, "trials": 1, "lam": 0, "tol": 0}
+
+
+def _check_knobs(config) -> None:
+    """Reject a knob below its lowest value, a non-positive eps, and any of
+    them non-finite. Each test states what must hold, so NaN, which fails
+    every comparison, fails the test."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name in _LOWEST and not _LOWEST[f.name] <= value < math.inf:
+            raise ConfigError(f"{f.name} must be finite and >= {_LOWEST[f.name]}, got {value}")
+    if not 0 < config.eps < math.inf:
+        raise ConfigError(f"eps must be finite and positive, got {config.eps}")
 
 
 @dataclass(frozen=True)
@@ -41,16 +56,7 @@ class SsnmfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ConfigError(f"r must be >= 1, got {self.r}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ConfigError(f"tol must be nonnegative, got {self.tol}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        _check_knobs(self)
 
 
 @dataclass
@@ -86,9 +92,7 @@ class FitResult:
     def save(self, out_dir) -> None:
         """Write result.json plus A.csv, B.csv, S.csv into out_dir."""
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        matrix.write_json(os.path.join(out_dir, "result.json"), self.to_dict())
         matrix.write_csv(os.path.join(out_dir, "A.csv"), self.state.a)
         matrix.write_csv(os.path.join(out_dir, "B.csv"), self.state.b)
         matrix.write_csv(os.path.join(out_dir, "S.csv"), self.state.s)

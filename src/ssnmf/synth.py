@@ -32,7 +32,7 @@ import numpy as np
 from .exceptions import ConfigError, FitError
 from .objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
-from .solver import FactorState, _draw_factors, mu_step
+from .solver import FactorState, _check_knobs, _draw_factors, mu_step
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ class ExperimentSpec:
             raise ConfigError(f"experiment id must be in 1..4, got {self.experiment}")
         if not 0 < self.density <= 1:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _check_knobs(self)
 
 
 def gen_factors(n1: int, n2: int, k: int, r: int, density: float, seed: int) -> FactorState:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -135,6 +136,7 @@ def test_config_must_be_json_object(tmp_path, fit_inputs):
 
 @pytest.mark.parametrize("value,message", [(2.7, "r must be an integer"),
                                            (True, "r must be an integer"),
+                                           ("2", "r must be an integer"),
                                            (None, "may not be null: r")])
 def test_config_integer_option_must_be_integral(tmp_path, fit_inputs, value, message,
                                                 capsys):
@@ -146,6 +148,73 @@ def test_config_integer_option_must_be_integral(tmp_path, fit_inputs, value, mes
     cfg.write_text(json.dumps({"r": 2.0, "max_iters": 2}))
     assert cli.main(["fit", "--x", fit_inputs["x"], "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("fit", "x", 0, "x must be a string"),  # fd 0: the parent read stdin
+    ("fit", "tol", [1], "tol must be a number"),
+    ("fit", "out_dir", 7, "out_dir must be a string"),
+    ("fit", "lam", True, "lam must be a number"),
+    ("classify", "grid", "false", "grid must be true or false"),
+    ("synth-bench", "experiment", 2, "experiment must be one of 1, 2, 3, 4, all"),
+    ("cluster-score", "mode", "fuzzy", "mode must be one of hard, soft, both"),
+])
+def test_config_value_of_wrong_type_exits_two(tmp_path, command, key, value, message,
+                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _subcommand_flags():
+    """Subcommand name -> the option flags its parser accepts, apart from the
+    ones that are not options of the run."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    skip = {"--config", "--no-timestamp", "--help", "-h"}
+    return {name: {flag for action in sub._actions for flag in action.option_strings} - skip
+            for name, sub in subs.choices.items()}
+
+
+def test_flags_and_config_keys_agree(tmp_path, capsys):
+    flags = _subcommand_flags()
+    candidates = set().union(*flags.values())
+    for command, accepted_flags in flags.items():
+        accepted = set()
+        for flag in sorted(candidates):
+            cfg = tmp_path / "cfg.json"
+            # an object is the wrong type for every option, so nothing runs
+            cfg.write_text(json.dumps({flag[2:].replace("-", "_"): {}}))
+            assert cli.main([command, "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "out")]) == 2
+            if "unknown config fields" not in capsys.readouterr().err:
+                accepted.add(flag)
+        assert accepted == accepted_flags, command
+    assert "--seed" not in flags["topics"] | flags["cluster-score"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--eps", "nan"], "eps must be finite"),
+    (["fit", "--eps", "inf"], "eps must be finite"),
+    (["fit", "--tol", "nan"], "tol must be finite"),
+    (["fit", "--lam", "nan"], "lam must be finite"),
+    (["synth-bench", "--eps", "-1"], "eps must be finite and positive"),
+    (["synth-bench", "--n1", "0"], "n1 must be finite and >= 1"),
+])
+def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv, message,
+                                                     capsys):
+    if argv[0] == "fit":
+        argv = argv + ["--x", fit_inputs["x"], "--r", "2", "--max-iters", "3"]
+    else:
+        argv = argv + ["--experiment", "1", "--n2", "6", "--k", "4", "--r", "2",
+                       "--max-iters", "3", "--trials", "1"]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_supplies_values(tmp_path, fit_inputs):

@@ -61,6 +61,12 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert np.array_equal(back, m)
 
 
+def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
+    path = tmp_path / "r.json"
+    matrix.write_json(path, {"b": [1.5], "a": None})
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1.5\n  ]\n}\n'
+
+
 def test_read_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n\n3,4\n")

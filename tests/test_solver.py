@@ -30,6 +30,13 @@ def random_system(seed, n1=6, n2=8, k=3, r=2, positive=0.1):
     return state, x, y
 
 
+@pytest.mark.parametrize("field", ["lam", "tol", "eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        SsnmfConfig(r=1, **{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SsnmfConfig(r=0)

@@ -101,6 +101,16 @@ def test_matched_variant_diagonal():
     assert synth.MATCHED_VARIANT[4] is ModelVariant.DIV_DIV
 
 
+@pytest.mark.parametrize("field,value", [
+    ("r", 0), ("n1", 0), ("n2", 0), ("k", 0), ("max_iters", 0), ("trials", 0),
+    ("lam", -1.0), ("lam", float("nan")), ("eps", 0.0), ("eps", -1.0),
+    ("eps", float("nan")), ("eps", float("inf")),
+])
+def test_experiment_spec_rejects_out_of_range_knobs(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        synth.ExperimentSpec(experiment=1, **{field: value})
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
         synth.ExperimentSpec(experiment=5)
