@@ -52,7 +52,6 @@ from .synth import (
     gen_factors,
     gen_separable,
     run_benchmark,
-    run_mle_experiment,
     sample_gaussian,
     sample_poisson,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "objective",
     "predict",
     "run_benchmark",
-    "run_mle_experiment",
     "sample_gaussian",
     "sample_poisson",
     "save_model",

@@ -87,8 +87,8 @@ OPTIONS = {
         "lam": (float, 1.0, None),
         "max_iters": (int, 20000, None),
         "trials": (int, 5, None),
-        "workers": (int, None, "parallel trial workers; when unset, the SSNMF_THREADS "
-                               "environment variable, else 1 (never more than trials)"),
+        "workers": (int, 1, "processes that run the (experiment, trial) jobs; with more "
+                            "than 1, set OPENBLAS_NUM_THREADS=1"),
         **_EPS, **_SEED, **_OUT_DIR,
     },
     "prep": {

@@ -80,9 +80,11 @@ def mean_score(s, m, mode: str = "hard") -> float:
 def top_keywords(a, vocab, count: int = 10) -> list:
     """Highest-weight terms per topic column, ties broken lexicographically.
 
-    vocab may be a Vocabulary or a plain term sequence; count larger than the
-    vocabulary returns the full ordering.
+    vocab may be a Vocabulary or a plain term sequence; count must be at
+    least 1, and a count larger than the vocabulary returns the full ordering.
     """
+    if not count >= 1:
+        raise EvaluationError(f"count must be >= 1, got {count}")
     terms = list(getattr(vocab, "terms", vocab))
     a = matrix.as_matrix(a, "a")
     if a.shape[0] != len(terms):

@@ -71,8 +71,8 @@ class ObjectiveSpec:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
 def _masked_pair(x, z, mask):
@@ -92,7 +92,9 @@ def frobenius_sq(x, z, mask=None) -> float:
     """Sum of squared masked residuals, sum((mask . (x - z))**2)."""
     a, b = _masked_pair(x, z, mask)
     d = a - b
-    return float(np.dot(d.ravel(), d.ravel()))
+    # huge residuals square to inf, the intended value: fit reports it as a FitError
+    with np.errstate(over="ignore"):
+        return float(np.dot(d.ravel(), d.ravel()))
 
 
 def i_divergence(x, z, mask=None, eps: float = 0.0) -> float:

@@ -22,10 +22,9 @@ that weight is 2*var_x = 1/r for fro-div and 1/(2*var_y) = r for div-fro
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +42,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "poisson"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and self.variance <= 0:
-            raise ConfigError(f"gaussian variance must be positive, got {self.variance}")
+        if self.kind == "gaussian" and not 0 < self.variance < math.inf:
+            raise ConfigError(f"gaussian variance must be finite and positive, "
+                              f"got {self.variance}")
 
 
 EXPERIMENT_IDS = (1, 2, 3, 4)
@@ -238,51 +238,30 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
     return errors
 
 
-def _worker_count(trials: int, workers: Optional[int]) -> int:
-    if workers is None:
-        env = os.environ.get("SSNMF_THREADS")
-        workers = int(env) if env else 1
-    return max(1, min(workers, trials))
-
-
-def run_mle_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> ErrorGrid:
-    """Run one experiment over all trials and variants.
-
-    Trials are independent; workers > 1 runs them in parallel processes. The
-    result is identical either way because every trial derives its own random
-    streams from (seed, trial).
-    """
-    workers = _worker_count(spec.trials, workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_trial_column, [spec] * spec.trials, range(spec.trials)))
-    else:
-        columns = [_trial_column(spec, t) for t in range(spec.trials)]
-    per_trial = np.stack(columns)[:, :, None]  # trials x variants x 1
-    means = per_trial.mean(axis=0)
-    return ErrorGrid(
-        experiments=[spec.experiment],
-        variants=list(VARIANTS),
-        means=means,
-        per_trial=per_trial,
-    )
-
-
 def run_benchmark(
     base: ExperimentSpec,
     experiments: Sequence[int] = EXPERIMENT_IDS,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> ErrorGrid:
-    """Run several experiments with shared factors and inits, merge the grids."""
-    grids = [
-        run_mle_experiment(replace(base, experiment=e), workers=workers)
-        for e in experiments
-    ]
+    """Every trial of every experiment, with base's knobs. Each (experiment,
+    trial) job draws from its own substreams, so workers = 1 (in this process)
+    and a pool of min(workers, jobs) processes give the same grid bit for bit.
+    """
+    if not workers >= 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    jobs = [(replace(base, experiment=e), t) for e in experiments for t in range(base.trials)]
+    if workers == 1:
+        columns = [_trial_column(spec, t) for spec, t in jobs]
+    else:
+        with ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+            columns = list(pool.map(_trial_column, *zip(*jobs)))
+    # jobs run experiment-major; per_trial is trials x variants x experiments
+    per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)
     return ErrorGrid(
-        experiments=[g.experiments[0] for g in grids],
+        experiments=list(experiments),
         variants=list(VARIANTS),
-        means=np.concatenate([g.means for g in grids], axis=1),
-        per_trial=np.concatenate([g.per_trial for g in grids], axis=2),
+        means=per_trial.mean(axis=0),
+        per_trial=per_trial,
     )
 
 

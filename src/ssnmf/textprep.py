@@ -217,7 +217,7 @@ def split(
     """
     if len(ratios) != 3:
         raise ParseError("ratios must have three entries")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
         raise ParseError(f"ratios must be nonnegative and sum to 1, got {ratios}")
     by_class = {}
     for idx, doc in enumerate(corpus.documents):

@@ -110,6 +110,7 @@ def test_overflowing_fit_exits_one(tmp_path, capsys):
     code = cli.main(["fit", "--x", huge, "--r", "2", "--max-iters", "3",
                      "--out-dir", str(tmp_path / "o")])
     assert code == 1
+    assert capsys.readouterr().err == "error: objective is inf at initialization\n"
 
 
 # --------------------------------------------------------------------- config
@@ -203,6 +204,7 @@ def test_flags_and_config_keys_agree(tmp_path, capsys):
     (["fit", "--lam", "nan"], "lam must be finite"),
     (["synth-bench", "--eps", "-1"], "eps must be finite and positive"),
     (["synth-bench", "--n1", "0"], "n1 must be finite and >= 1"),
+    (["synth-bench", "--workers", "0"], "workers must be >= 1"),
 ])
 def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv, message,
                                                      capsys):
@@ -518,6 +520,18 @@ def test_topics_lists_keywords(tmp_path, capsys):
     assert report["topics"][0]["keywords"] == ["alpha", "beta"]
     assert report["topics"][1]["keywords"] == ["gamma", "delta"]
     assert "topic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_topics_count_below_one_exits_two(tmp_path, count, capsys):
+    a = write_matrix(tmp_path / "A.csv", [[0.9], [0.5], [0.1], [0.0]])
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("alpha\nbeta\ngamma\ndelta\n")
+    out = tmp_path / "out"
+    code = cli.main(["topics", "--a", a, "--vocab", str(vocab),
+                     "--count", count, "--out-dir", str(out)])
+    assert code == 2
+    assert "count must be >= 1" in capsys.readouterr().err
 
 
 def test_topics_requires_both_inputs(tmp_path):

@@ -97,6 +97,12 @@ def test_top_keywords_orders_by_weight_then_term():
     assert got[1] == ["beta", "gamma"]  # tie at 2.0 breaks alphabetically
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_top_keywords_rejects_count_below_one(count):
+    with pytest.raises(EvaluationError, match="count must be >= 1"):
+        evalcluster.top_keywords(np.array([[1.0], [2.0]]), FakeVocab(["x", "y"]), count=count)
+
+
 def test_top_keywords_count_capped_at_vocab_size():
     a = np.array([[1.0], [2.0]])
     got = evalcluster.top_keywords(a, FakeVocab(["x", "y"]), count=10)

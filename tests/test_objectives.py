@@ -109,8 +109,9 @@ def test_objective_none_mask_equals_ones(variant):
 
 
 def test_objective_spec_rejects_negative_lam():
-    with pytest.raises(ValueError):
-        ObjectiveSpec(ModelVariant.FRO_FRO, lam=-0.1)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            ObjectiveSpec(ModelVariant.FRO_FRO, lam=lam)
 
 
 def test_variant_keys_and_parse():

@@ -55,8 +55,9 @@ def test_gaussian_clamps_at_zero():
 
 
 def test_gaussian_rejects_bad_variance():
-    with pytest.raises(ConfigError):
-        synth.sample_gaussian(np.ones((2, 2)), variance=0.0, seed=0)
+    for variance in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="variance must be finite and positive"):
+            synth.sample_gaussian(np.ones((2, 2)), variance=variance, seed=0)
 
 
 def test_poisson_sample_moments():
@@ -138,8 +139,21 @@ def test_benchmark_smoke_and_determinism():
     assert grid1.means[:, 0] == pytest.approx(grid1.per_trial[:, :, 0].mean(axis=0))
 
 
+def test_parallel_jobs_match_serial_bit_for_bit():
+    # three workers for 2 experiments x 2 trials: more workers than trials
+    serial = synth.run_benchmark(tiny_spec(), (1, 3), workers=1)
+    parallel = synth.run_benchmark(tiny_spec(), (1, 3), workers=3)
+    assert serial.per_trial.tobytes() == parallel.per_trial.tobytes()
+    assert serial.means.tobytes() == parallel.means.tobytes()
+
+
+def test_benchmark_rejects_fewer_than_one_worker():
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        synth.run_benchmark(tiny_spec(), (1,), workers=0)
+
+
 def test_error_grid_serialization(tmp_path):
-    grid = synth.run_mle_experiment(tiny_spec(2))
+    grid = synth.run_benchmark(tiny_spec(2), [2])
     assert grid.column_minima() == [int(np.argmin(grid.means[:, 0]))]
     payload = grid.to_dict()
     assert payload["experiments"] == [2]
@@ -150,15 +164,6 @@ def test_error_grid_serialization(tmp_path):
     assert lines[0] == "variant,experiment_2"
     assert len(lines) == 5
     assert lines[1].startswith("fro-fro,")
-
-
-def test_worker_env_cap(monkeypatch):
-    monkeypatch.setenv("SSNMF_THREADS", "3")
-    assert synth._worker_count(trials=5, workers=None) == 3
-    assert synth._worker_count(trials=2, workers=None) == 2
-    monkeypatch.delenv("SSNMF_THREADS")
-    assert synth._worker_count(trials=5, workers=None) == 1
-    assert synth._worker_count(trials=5, workers=8) == 5
 
 
 def test_gen_separable_structure():

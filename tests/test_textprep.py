@@ -157,6 +157,15 @@ def test_split_disjoint_and_deterministic():
     assert sorted(seen) == sorted(d.text for d in docs)
 
 
+@pytest.mark.parametrize("ratios", [
+    (-0.2, 0.6, 0.6), (0.6, 0.2, 0.3), (math.nan, 0.2, 0.2), (math.inf, 0.2, 0.2),
+])
+def test_split_rejects_bad_ratios(ratios):
+    corpus = Corpus([Document(f"d{i}", 0, 0) for i in range(5)], ["only"], ["g0"])
+    with pytest.raises(ParseError, match="ratios must be nonnegative and sum to 1"):
+        textprep.split(corpus, ratios=ratios)
+
+
 def test_split_cap_larger_than_class_fails():
     docs = [Document(f"d{i}", 0, 0) for i in range(5)]
     corpus = Corpus(docs, ["only"], ["g0"])
