@@ -20,7 +20,7 @@ from . import matrix
 from .exceptions import ParseError, ShapeError
 from .objectives import ModelVariant
 from .rng import substream
-from .solver import SsnmfConfig, _apply_floor, _ratio, _s_terms, fit
+from .solver import SsnmfConfig, _apply_floor, _masked, _ratio, _s_terms, fit
 
 DEFAULT_TRANSFORM_ITERS = 200
 
@@ -85,8 +85,9 @@ def transform(
     gen = substream(model.config.seed, "transform")
     s = gen.random((a.shape[1], x_test.shape[1])) + 0.01
     loss = model.variant.reconstruction
+    wx = _masked(x_test, w_test)
     for _ in range(iters):
-        num, den = _s_terms(a, s, x_test, w_test, loss, eps)
+        num, den = _s_terms(a, s, wx, w_test, loss, eps)
         s = _apply_floor(s * _ratio(num, den, eps))
     return s
 

@@ -54,10 +54,11 @@ def as_mask(mask, like: np.ndarray, name: str, like_name: str):
 
 def write_csv(path, a) -> None:
     """Write as comma-separated rows, no header, full float64 precision."""
-    a = as_matrix(a)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row))
+        # one row of Python floats at a time: the whole matrix as a list
+        # would hold about 32 bytes per entry at once
+        for row in as_matrix(a):
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

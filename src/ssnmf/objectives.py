@@ -75,26 +75,71 @@ class ObjectiveSpec:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
-def _masked_pair(x, z, mask):
+class TermValue:
+    """One fit term's error loss(W.X || W.Z), scored on masked products W.Z.
+
+    W.X is built once, and for the divergence so are the flat positions of
+    its positive entries, their values and its sum; scoring gathers W.Z at
+    those positions with take, into a buffer kept with the term.
+    """
+
+    def __init__(self, x, mask, loss: Loss, eps: float = 0.0):
+        x = np.asarray(x, dtype=np.float64)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=np.float64)
+            if mask.shape != x.shape:
+                raise ShapeError(f"mask shape mismatch: {mask.shape} vs {x.shape}")
+            x = mask * x
+        self.mask = mask
+        self.wx = x
+        self.loss = loss
+        self.eps = eps
+        if loss is Loss.FRO:
+            self._scratch = np.empty(x.shape)
+            return
+        if np.any(x < 0):
+            raise ValueError("i_divergence requires nonnegative entries")
+        self.positions = np.flatnonzero(x > 0)
+        self.values = x.take(self.positions)
+        self.total = x.sum()
+        self._scratch = np.empty(self.positions.size)
+
+    def __call__(self, wz) -> float:
+        """The term's error at the masked product wz = W.Z, which is left as it is."""
+        if self.loss is Loss.FRO:
+            d = np.subtract(self.wx, wz, out=self._scratch).ravel()
+            # huge residuals square to inf, the intended value: fit reports it as a FitError
+            with np.errstate(over="ignore"):
+                return float(np.dot(d, d))
+        if np.any(wz < 0):
+            raise ValueError("i_divergence requires nonnegative entries")
+        total = float(wz.sum() - self.total)
+        if not self.positions.size:
+            return total
+        # mode="clip" lets take write into the buffer directly; every position is in range
+        bp = np.take(wz, self.positions, out=self._scratch, mode="clip")
+        bp += self.eps
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.divide(self.values, bp, out=bp), out=bp)
+        if np.any(np.isinf(logs)):
+            return math.inf
+        return total + float(np.dot(self.values, logs))
+
+
+def _term_error(x, z, mask, loss, eps):
+    """loss(mask.x || mask.z) for one pair; z is a fresh array, masked in place."""
     x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
     if x.shape != z.shape:
         raise ShapeError(f"operand shape mismatch: {x.shape} vs {z.shape}")
-    if mask is None:
-        return x, z
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape:
-        raise ShapeError(f"mask shape mismatch: {mask.shape} vs {x.shape}")
-    return mask * x, mask * z
+    term = TermValue(x, mask, loss, eps)
+    if term.mask is not None:
+        z *= term.mask
+    return term(z)
 
 
 def frobenius_sq(x, z, mask=None) -> float:
     """Sum of squared masked residuals, sum((mask . (x - z))**2)."""
-    a, b = _masked_pair(x, z, mask)
-    d = a - b
-    # huge residuals square to inf, the intended value: fit reports it as a FitError
-    with np.errstate(over="ignore"):
-        return float(np.dot(d.ravel(), d.ravel()))
+    return _term_error(x, np.array(z, dtype=np.float64), mask, Loss.FRO, 0.0)
 
 
 def i_divergence(x, z, mask=None, eps: float = 0.0) -> float:
@@ -105,20 +150,7 @@ def i_divergence(x, z, mask=None, eps: float = 0.0) -> float:
     be nonnegative. When eps > 0 the log denominator is guarded as b + eps,
     which keeps the value finite on degenerate inputs; eps = 0 is exact.
     """
-    a, b = _masked_pair(x, z, mask)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("i_divergence requires nonnegative entries")
-    total = float(b.sum() - a.sum())
-    pos = a > 0
-    if not np.any(pos):
-        return total
-    ap = a[pos]
-    bp = b[pos] + eps
-    with np.errstate(divide="ignore"):
-        logs = np.log(ap / bp)
-    if np.any(np.isinf(logs)):
-        return math.inf
-    return total + float(np.dot(ap, logs))
+    return _term_error(x, np.array(z, dtype=np.float64), mask, Loss.DIV, eps)
 
 
 def objective(
@@ -139,16 +171,8 @@ def objective(
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    rec_fn = spec.variant.reconstruction
-    sup_fn = spec.variant.supervision
-    if rec_fn is Loss.DIV:
-        rec = i_divergence(x, a @ s, w, eps)
-    else:
-        rec = frobenius_sq(x, a @ s, w)
-    if sup_fn is Loss.DIV:
-        sup = i_divergence(y, b @ s, l, eps)
-    else:
-        sup = frobenius_sq(y, b @ s, l)
+    rec = _term_error(x, a @ s, w, spec.variant.reconstruction, eps)
+    sup = _term_error(y, b @ s, l, spec.variant.supervision, eps)
     return rec + spec.lam * sup
 
 

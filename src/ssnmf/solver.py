@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matrix
 from .exceptions import ConfigError, FitError, ShapeError
-from .objectives import Loss, ModelVariant, ObjectiveSpec, objective
+from .objectives import Loss, ModelVariant, ObjectiveSpec, TermValue, objective
 from .rng import substream
 
 
@@ -61,11 +61,16 @@ class SsnmfConfig:
 
 @dataclass
 class FactorState:
-    """Current factors: a is n1 x r, b is k x r, s is r x n2."""
+    """Current factors: a is n1 x r, b is k x r, s is r x n2.
+
+    objective is the objective of the state a scored mu_step started from,
+    and None otherwise.
+    """
 
     a: np.ndarray
     b: np.ndarray
     s: np.ndarray
+    objective: Optional[float] = None
 
     def copy(self) -> "FactorState":
         return FactorState(self.a.copy(), self.b.copy(), self.s.copy())
@@ -133,27 +138,32 @@ def _apply_floor(f):
 _GRAD_FACTOR = {Loss.FRO: 2.0, Loss.DIV: 1.0}
 
 
-def _gradient_parts(f, s, data, mask, loss, eps):
-    """The nonnegative parts (pos, neg) of one fit term's gradient in Z = f @ s.
-
-    The term's gradient in Z is _GRAD_FACTOR[loss] * (pos - neg), and its
-    multiplicative update is the ratio of neg to pos carried through the
-    product. A pos of None stands for all ones. This is the one place where
-    the loss and the mask are told apart.
-    """
-    # z is a fresh product, so it is reused in place: every large temporary
-    # costs page faults once the allocator has handed its memory back
+def _masked_product(f, s, mask):
+    """W.(f @ s), formed in place: the product is fresh, and every large
+    temporary costs page faults once the allocator has handed its memory back."""
     z = f @ s
     if mask is not None:
         z *= mask
+    return z
+
+
+def _gradient_parts(wz, wx, mask, loss, eps):
+    """The nonnegative parts (pos, neg) of one fit term's gradient in Z = f @ s.
+
+    wz is the masked product W.Z, which is reused in place, and wx is W.X
+    (the data itself when mask is None). The term's gradient in Z is
+    _GRAD_FACTOR[loss] * (pos - neg), and its multiplicative update is the
+    ratio of neg to pos carried through the product. A pos of None stands for
+    all ones. This is the one place where the loss and the mask are told apart.
+    """
     if loss is Loss.FRO:
-        return z, (data if mask is None else mask * data)
-    z += eps
+        return wz, wx
+    wz += eps
+    np.divide(wx, wz, out=wz)
     if mask is None:
-        return None, np.divide(data, z, out=z)
-    np.divide(mask * data, z, out=z)
-    z *= mask
-    return mask, z
+        return None, wz
+    wz *= mask
+    return mask, wz
 
 
 def _times_st(part, s):
@@ -166,16 +176,24 @@ def _ft_times(f, part):
     return f.sum(axis=0)[:, None] if part is None else f.T @ part
 
 
-def _update_dictionary(f, s, data, mask, loss, eps):
-    """One multiplicative update of a dictionary factor (A or B), s held fixed."""
-    pos, neg = _gradient_parts(f, s, data, mask, loss, eps)
-    return f * _ratio(_times_st(neg, s), _times_st(pos, s), eps)
+def _update_dictionary(f, s, wx, mask, loss, eps, term=None):
+    """One multiplicative update of a dictionary factor (A or B), s held fixed,
+    and the error at (f, s) of term, an objectives.TermValue, scored from the
+    update's own product (None without a term)."""
+    wz = _masked_product(f, s, mask)
+    value = None if term is None else term(wz)
+    pos, neg = _gradient_parts(wz, wx, mask, loss, eps)
+    return _apply_floor(f * _ratio(_times_st(neg, s), _times_st(pos, s), eps)), value
 
 
-def _s_terms(f, s, data, mask, loss, eps):
+def _s_terms(f, s, wx, mask, loss, eps):
     """Numerator and denominator contribution of one fit term to the S update."""
-    pos, neg = _gradient_parts(f, s, data, mask, loss, eps)
+    pos, neg = _gradient_parts(_masked_product(f, s, mask), wx, mask, loss, eps)
     return _ft_times(f, neg), _ft_times(f, pos)
+
+
+def _masked(data, mask):
+    return data if mask is None else mask * data
 
 
 def mu_step(
@@ -187,22 +205,35 @@ def mu_step(
     l=None,
     lam: float = 1.0,
     eps: float = 1e-10,
+    *,
+    terms=None,
 ) -> FactorState:
-    """One sweep of multiplicative updates (A, then B, then S)."""
+    """One sweep of multiplicative updates (A, then B, then S).
+
+    terms, fit's (reconstruction, supervision) objectives.TermValue pair for
+    these x, y, w, l and eps, makes the sweep score the state it starts from
+    on the way: the A and B updates form exactly W.AS and L.BS of that state.
+    The returned state then carries that objective; without terms, nothing
+    is scored and its objective is None.
+    """
     rec = variant.reconstruction
     sup = variant.supervision
-    a = _apply_floor(_update_dictionary(state.a, state.s, x, w, rec, eps))
-    b = _apply_floor(_update_dictionary(state.b, state.s, y, l, sup, eps))
+    rec_term, sup_term = terms or (None, None)
+    wx = _masked(x, w) if rec_term is None else rec_term.wx
+    wy = _masked(y, l) if sup_term is None else sup_term.wx
+    a, rec_value = _update_dictionary(state.a, state.s, wx, w, rec, eps, rec_term)
+    b, sup_value = _update_dictionary(state.b, state.s, wy, l, sup, eps, sup_term)
 
     # the S update weighs each term by its gradient factor; the factors
     # cancel only when both terms share a loss
-    num_r, den_r = _s_terms(a, state.s, x, w, rec, eps)
-    num_s, den_s = _s_terms(b, state.s, y, l, sup, eps)
+    num_r, den_r = _s_terms(a, state.s, wx, w, rec, eps)
+    num_s, den_s = _s_terms(b, state.s, wy, l, sup, eps)
     cr, cs = (1.0, 1.0) if rec is sup else (_GRAD_FACTOR[rec], _GRAD_FACTOR[sup])
     num = cr * num_r + cs * lam * num_s
     den = cr * den_r + cs * lam * den_s
     s = _apply_floor(state.s * _ratio(num, den, eps))
-    return FactorState(a, b, s)
+    value = None if terms is None else rec_value + lam * sup_value
+    return FactorState(a, b, s, value)
 
 
 def _check_system(x, y, w, l):
@@ -225,7 +256,11 @@ def fit(
     """Train the variant on (x, y) and return factors plus the objective trace.
 
     The trace has one entry per sweep plus the value before the first sweep.
-    Stops early once trace[-1] / trace[0] < config.tol.
+    Stops early once trace[-1] / trace[0] < config.tol. The first value and,
+    when all max_iters sweeps run, the last come from objective; every other
+    value is scored by the following sweep from the products its A and B
+    updates form, equal to objective bit for bit. So a tol stop at sweep t
+    returns state t and discards the one sweep that scored it.
     """
     x, y, w, l = _check_system(x, y, w, l)
     n1, n2 = x.shape
@@ -235,15 +270,22 @@ def fit(
     start = objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps)
     if not math.isfinite(start):
         raise FitError(f"objective is {start} at initialization")
+    terms = (
+        TermValue(x, w, variant.reconstruction, config.eps),
+        TermValue(y, l, variant.supervision, config.eps),
+    )
     trace = [start]
-    iterations = 0
-    for _ in range(config.max_iters):
-        state = mu_step(variant, state, x, y, w, l, config.lam, config.eps)
-        value = objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps)
-        trace.append(value)
-        iterations += 1
-        if start > 0 and value / start < config.tol:
+    state = mu_step(variant, state, x, y, w, l, config.lam, config.eps)
+    for _ in range(1, config.max_iters):
+        # the next sweep scores the state it starts from
+        ahead = mu_step(variant, state, x, y, w, l, config.lam, config.eps, terms=terms)
+        trace.append(ahead.objective)
+        if start > 0 and ahead.objective / start < config.tol:
             break
+        state = ahead
+    else:
+        del terms  # its buffers go before objective builds its own
+        trace.append(objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps))
     relative_error = trace[-1] / trace[0] if trace[0] > 0 else 0.0
     return FitResult(
         variant=variant,
@@ -251,15 +293,15 @@ def fit(
         state=state,
         objective_trace=trace,
         relative_error=relative_error,
-        iterations_run=iterations,
+        iterations_run=len(trace) - 1,
     )
 
 
 def _fit_terms(variant, state, x, y, w, l, lam):
-    """(factor, data, mask, loss, weight) of the reconstruction and supervision terms."""
+    """(factor, masked data, mask, loss, weight) of the reconstruction and supervision terms."""
     return (
-        (state.a, np.asarray(x, dtype=np.float64), w, variant.reconstruction, 1.0),
-        (state.b, np.asarray(y, dtype=np.float64), l, variant.supervision, lam),
+        (state.a, _masked(np.asarray(x, dtype=np.float64), w), w, variant.reconstruction, 1.0),
+        (state.b, _masked(np.asarray(y, dtype=np.float64), l), l, variant.supervision, lam),
     )
 
 
@@ -280,8 +322,8 @@ def gradient(
     s = state.s
     grads = []
     ds = 0.0
-    for f, data, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
-        pos, neg = _gradient_parts(f, s, data, mask, loss, eps)
+    for f, wx, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
+        pos, neg = _gradient_parts(_masked_product(f, s, mask), wx, mask, loss, eps)
         c = _GRAD_FACTOR[loss] * weight
         grads.append(c * (_times_st(pos, s) - _times_st(neg, s)))
         ds = ds + c * (_ft_times(f, pos) - _ft_times(f, neg))
@@ -306,8 +348,8 @@ def step_scale(
     s = state.s
     scales = []
     den = 0.0
-    for f, data, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
-        pos, _ = _gradient_parts(f, s, data, mask, loss, eps)
+    for f, wx, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
+        pos, _ = _gradient_parts(_masked_product(f, s, mask), wx, mask, loss, eps)
         c = _GRAD_FACTOR[loss] * weight
         scales.append(f / (c * _times_st(pos, s) + eps))
         den = den + c * _ft_times(f, pos)

@@ -228,7 +228,7 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
         state = init.copy()
         for _ in range(spec.max_iters):
             state = mu_step(variant, state, x, y, None, None, spec.lam, spec.eps)
-        if not (np.all(np.isfinite(state.a)) and np.all(np.isfinite(state.s))):
+        if not all(np.all(np.isfinite(f)) for f in (state.a, state.b, state.s)):
             raise FitError(
                 f"non-finite factors in trial {trial}, experiment {spec.experiment}, "
                 f"variant {variant.key}"

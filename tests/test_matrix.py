@@ -94,3 +94,14 @@ def test_read_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         matrix.read_csv(path)
+
+
+def test_write_csv_bytes_match_per_scalar_repr(tmp_path):
+    m = np.array([[-0.0, 5e-324, 1e300, 3.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [-2.0, 1e16, 0.1, 123456789.0]])
+    path = tmp_path / "m.csv"
+    matrix.write_csv(path, m)
+    # the per-entry formatting the writer has always produced
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -169,3 +169,41 @@ def test_mle_lambda_matches_likelihood_difference(variant):
         obj.append(objective(ObjectiveSpec(variant, lam), a, b, s, x, y))
     assert abs(obj[1] - obj[0]) > 1e-3
     assert nll[1] - nll[0] == pytest.approx(c * (obj[1] - obj[0]), rel=1e-10)
+
+
+def _old_frobenius_sq(x, z, mask):
+    # the formulas before each term got one value object, kept as the reference
+    a, b = (x, z) if mask is None else (mask * x, mask * z)
+    d = a - b
+    return float(np.dot(d.ravel(), d.ravel()))
+
+
+def _old_i_divergence(x, z, mask, eps):
+    a, b = (x, z) if mask is None else (mask * x, mask * z)
+    total = float(b.sum() - a.sum())
+    pos = a > 0
+    if not np.any(pos):
+        return total
+    with np.errstate(divide="ignore"):
+        logs = np.log(a[pos] / (b[pos] + eps))
+    if np.any(np.isinf(logs)):
+        return math.inf
+    return total + float(np.dot(a[pos], logs))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_term_values_equal_the_old_formulas(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    x = rng.random(shape) * (rng.random(shape) > 0.4) * 10.0 ** rng.integers(-3, 4)
+    z = rng.random(shape) * (rng.random(shape) > 0.3)
+    masks = [None, (rng.random(shape) > 0.3).astype(float), rng.random(shape)]
+    for mask in masks:
+        assert frobenius_sq(x, z, mask) == _old_frobenius_sq(x, z, mask)
+        for eps in (0.0, 1e-10, 0.5):
+            assert i_divergence(x, z, mask, eps) == _old_i_divergence(x, z, mask, eps)
+    # z = 0 where x > 0 gives inf at eps = 0 and a finite value with the guard
+    z[x > 0] = 0.0
+    if np.any(x > 0):
+        assert i_divergence(x, z) == math.inf == _old_i_divergence(x, z, None, 0.0)
+        assert math.isfinite(i_divergence(x, z, eps=1e-10))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssnmf import matrix
+from ssnmf import matrix, objectives
 from ssnmf.classify import ClassifierModel, transform
 from ssnmf.exceptions import ConfigError, FitError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
@@ -201,6 +201,73 @@ def test_fit_tol_stops_early():
     )
     assert stopped.iterations_run == expected
     assert stopped.iterations_run < full.iterations_run
+
+
+def _pattern(a, period):
+    """A 0/1 mask shaped like a that drops every period-th entry."""
+    return (np.arange(a.size).reshape(a.shape) % period != 0).astype(float)
+
+
+MASKINGS = {
+    "none": lambda x, y: (None, None),
+    "binary": lambda x, y: (_pattern(x, 3), _pattern(y, 2)),
+    "zero-l": lambda x, y: (_pattern(x, 4), np.zeros_like(y)),
+}
+
+
+@pytest.mark.parametrize("stop", ["max-iters", "tol"])
+@pytest.mark.parametrize("masking", list(MASKINGS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_trace_is_objective_of_hand_stepped_states(variant, masking, stop):
+    # fit takes each later value from the next sweep's own products; it must
+    # equal objective on the states stepped by hand, bit for bit, and a tol
+    # stop must hand back state t, not the sweep it made past it
+    _, x, y = random_system(79, n1=9, n2=11, k=3, r=2)
+    w, l = MASKINGS[masking](x, y)
+    cfg = SsnmfConfig(r=2, lam=0.6, max_iters=25, seed=4)
+    spec = ObjectiveSpec(variant, cfg.lam)
+    states = [initialize(9, 11, 3, cfg)]
+    for _ in range(cfg.max_iters):
+        states.append(mu_step(variant, states[-1], x, y, w, l, cfg.lam, cfg.eps))
+    expected = [objective(spec, st.a, st.b, st.s, x, y, w, l, eps=cfg.eps) for st in states]
+    if stop == "tol":
+        t = 9
+        cfg = SsnmfConfig(r=2, lam=0.6, max_iters=25, seed=4,
+                          tol=(expected[t] / expected[0] + expected[t - 1] / expected[0]) / 2)
+        expected = expected[: t + 1]
+    result = fit(variant, x, y, cfg, w, l)
+    assert result.objective_trace == expected
+    t = len(expected) - 1
+    assert result.iterations_run == t
+    for got, want in zip((result.state.a, result.state.b, result.state.s),
+                         (states[t].a, states[t].b, states[t].s)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fit_calls_objective_at_most_twice(monkeypatch):
+    _, x, y = random_system(83)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr("ssnmf.solver.objective", counted)
+    fit(ModelVariant.DIV_FRO, x, y, SsnmfConfig(r=2, max_iters=30))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("masking", list(MASKINGS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mu_step_without_terms_scores_nothing(variant, masking, monkeypatch):
+    def fail(self, wz):
+        raise AssertionError("mu_step scored a term it was not given")
+
+    state, x, y = random_system(89)
+    w, l = MASKINGS[masking](x, y)
+    monkeypatch.setattr(objectives.TermValue, "__call__", fail)
+    out = mu_step(variant, state, x, y, w, l)
+    assert out.objective is None
 
 
 def test_fit_accepts_explicit_init():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssnmf import synth
-from ssnmf.exceptions import ConfigError
+from ssnmf.exceptions import ConfigError, FitError
 from ssnmf.objectives import ModelVariant
 
 
@@ -179,3 +179,21 @@ def test_gen_separable_structure():
         outside = np.delete(x[:, j].reshape(3, 4), block, axis=0)
         assert np.all(outside == 0)
     assert x.min() >= 0
+
+
+def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
+    step = synth.mu_step
+    spec = tiny_spec(2)
+    calls = []
+
+    def inf_in_b(*args, **kwargs):
+        # the first variant's last sweep leaves A and S finite, B not
+        out = step(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == spec.max_iters:
+            out.b[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(synth, "mu_step", inf_in_b)
+    with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
+        synth.run_benchmark(spec, [2])
