@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,8 @@ from . import matrix
 from .exceptions import ParseError, ShapeError
 from .objectives import ModelVariant
 from .rng import substream
-from .solver import SsnmfConfig, _apply_floor, _masked, _ratio, _s_terms, fit
+from .solver import (FitResult, SsnmfConfig, _apply_floor, _masked, _ratio, _s_terms, fit,
+                     tol_stop)
 
 DEFAULT_TRANSFORM_ITERS = 200
 
@@ -51,13 +52,50 @@ def train(
     model together with the full fit diagnostics.
     """
     result = fit(variant, x_train, y_train, config, w=w_train, l=l_train)
-    model = ClassifierModel(
-        a_train=result.state.a,
-        b_train=result.state.b,
-        variant=variant,
-        config=config,
-    )
-    return model, result
+    return _model(result), result
+
+
+def _model(result: FitResult) -> ClassifierModel:
+    return ClassifierModel(result.state.a, result.state.b, result.variant, result.config)
+
+
+def train_tols(
+    x_train,
+    y_train,
+    variant: ModelVariant,
+    config: SsnmfConfig,
+    tols,
+    w_train=None,
+    l_train=None,
+) -> dict:
+    """train at every tol in tols from one fit: {tol: (model, result)}.
+
+    For one config apart from tol, runs follow one trajectory and differ only
+    in where they stop (solver.tol_stop), so a fit at the smallest tol passes
+    each larger tol's stop on its way. Each tol gets the state and the trace
+    up to its own stop, or the whole run if it never stops, and equals train
+    at that tol bit for bit. Tols that stop at the same sweep share factors.
+    """
+    start = []
+    stops = {}  # tol -> (sweep, state) at its first stop
+
+    def snapshot(sweep, state, value):
+        if sweep == 0:
+            start.append(value)
+            return
+        for tol in tols:
+            if tol not in stops and tol_stop(value, start[0], tol):
+                stops[tol] = (sweep, state)
+
+    result = fit(variant, x_train, y_train, replace(config, tol=min(tols)),
+                 w=w_train, l=l_train, callback=snapshot)
+    trained = {}
+    for tol in tols:
+        sweep, state = stops.get(tol, (result.iterations_run, result.state))
+        run = FitResult.from_trace(variant, replace(config, tol=tol), state,
+                                   result.objective_trace[: sweep + 1])
+        trained[tol] = (_model(run), run)
+    return trained
 
 
 def transform(

@@ -228,13 +228,11 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------- classify
 
-def _train_eval(variant, x_train, y_train, w_train, x_eval, w_eval, y_eval,
-                config, transform_iters):
-    model, result = cls.train(x_train, y_train, variant, config, w_train=w_train)
+def _evaluate(model, x_eval, w_eval, y_eval, transform_iters):
+    """Predicted labels of x_eval, and their accuracy when y_eval is given."""
     s_eval = cls.transform(model, x_eval, w_test=w_eval, iters=transform_iters)
     y_pred = cls.predict(model, s_eval)
-    acc = cls.accuracy(y_eval, y_pred) if y_eval is not None else None
-    return model, result, y_pred, acc
+    return y_pred, cls.accuracy(y_eval, y_pred) if y_eval is not None else None
 
 
 def cmd_classify(args) -> int:
@@ -246,30 +244,38 @@ def cmd_classify(args) -> int:
     variant = ModelVariant.parse(opts["variant"])
     transform_iters = opts["transform_iters"]
     base = _build(SsnmfConfig, opts)
-    chosen = {"tol": base.tol, "lam": base.lam}
     grid_results = None
     if opts["grid"]:
         _require(opts, "--grid", "x_val", "y_val")
         x_val = _read_matrix_arg(opts, "x_val")
         y_val = _read_matrix_arg(opts, "y_val")
+        # one fit per lam; each tol's model is where its stop falls on that fit
+        trained = {}
+        for lam in GRID_LAMBDAS:
+            runs = cls.train_tols(x_train, y_train, variant, replace(base, lam=lam),
+                                  GRID_TOLS, w_train=w_train)
+            trained.update(((tol, lam), run) for tol, run in runs.items())
+        val_accuracy = {}  # (lam, sweep) -> accuracy; tols stopping together share it
         best_acc = -1.0
         grid_results = []
         for tol in GRID_TOLS:
             for lam in GRID_LAMBDAS:
-                config = replace(base, tol=tol, lam=lam)
-                _, _, _, acc = _train_eval(
-                    variant, x_train, y_train, w_train,
-                    x_val, None, y_val, config, transform_iters,
-                )
+                model, result = trained[tol, lam]
+                snapshot = (lam, result.iterations_run)
+                if snapshot not in val_accuracy:
+                    val_accuracy[snapshot] = _evaluate(
+                        model, x_val, None, y_val, transform_iters)[1]
+                acc = val_accuracy[snapshot]
                 grid_results.append({"tol": tol, "lam": lam, "val_accuracy": acc})
                 if acc > best_acc:
                     best_acc = acc
-                    chosen = {"tol": tol, "lam": lam}
-    config = replace(base, **chosen)
-    model, result, y_pred, acc = _train_eval(
-        variant, x_train, y_train, w_train,
-        x_test, w_test, y_test, config, transform_iters,
-    )
+                    chosen = (tol, lam)
+        # the test run uses the chosen grid model: same inputs, seed and config
+        model, result = trained[chosen]
+    else:
+        model, result = cls.train(x_train, y_train, variant, base, w_train=w_train)
+    config = model.config
+    y_pred, acc = _evaluate(model, x_test, w_test, y_test, transform_iters)
     out_dir = _out_dir(opts)
     matrix.write_csv(os.path.join(out_dir, "predictions.csv"), y_pred)
     if opts["save_model"]:

@@ -85,6 +85,12 @@ class FitResult:
     relative_error: float = 0.0
     iterations_run: int = 0
 
+    @classmethod
+    def from_trace(cls, variant, config, state, trace) -> "FitResult":
+        """The result of a run that ended at state with this objective trace."""
+        relative_error = trace[-1] / trace[0] if trace[0] > 0 else 0.0
+        return cls(variant, config, state, trace, relative_error, len(trace) - 1)
+
     def to_dict(self) -> dict:
         return {
             "variant": self.variant.key,
@@ -244,6 +250,13 @@ def _check_system(x, y, w, l):
     return x, y, matrix.as_mask(w, x, "w", "x"), matrix.as_mask(l, y, "l", "y")
 
 
+def tol_stop(value: float, start: float, tol: float) -> bool:
+    """The tol stop rule: a run ends at the first sweep t >= 1 whose objective
+    value has value / start < tol, and returns state t. A larger tol never
+    first holds at a later sweep than a smaller one."""
+    return start > 0 and value / start < tol
+
+
 def fit(
     variant: ModelVariant,
     x,
@@ -252,49 +265,59 @@ def fit(
     w=None,
     l=None,
     init: Optional[FactorState] = None,
+    callback=None,
 ) -> FitResult:
     """Train the variant on (x, y) and return factors plus the objective trace.
 
     The trace has one entry per sweep plus the value before the first sweep.
-    Stops early once trace[-1] / trace[0] < config.tol. The first value and,
-    when all max_iters sweeps run, the last come from objective; every other
+    Stops early at the first sweep where tol_stop(trace[-1], trace[0],
+    config.tol) holds. The first value comes from objective; every other
     value is scored by the following sweep from the products its A and B
-    updates form, equal to objective bit for bit. So a tol stop at sweep t
-    returns state t and discards the one sweep that scored it.
+    updates form, and the last one of a run through all max_iters sweeps by
+    fit's own terms on the last state, equal to objective bit for bit. So a
+    tol stop at sweep t returns state t and discards the one sweep that
+    scored it. A value that is not finite raises FitError naming its sweep.
+
+    callback(sweep, state, value), when given, is called once per trace
+    entry, in order: sweep 0 with the start state, then each sweep t with
+    state t and trace[t]; the last call has the returned state. fit never
+    changes a state after passing it, so the callback may keep states but
+    must not modify them.
     """
     x, y, w, l = _check_system(x, y, w, l)
     n1, n2 = x.shape
     k = y.shape[0]
     state = init.copy() if init is not None else initialize(n1, n2, k, config)
+    trace = []
+
+    def record(state, value):
+        sweep = len(trace)
+        if not math.isfinite(value):
+            where = f"sweep {sweep}" if sweep else "initialization"
+            raise FitError(f"objective is {value} at {where}")
+        trace.append(value)
+        if callback is not None:
+            callback(sweep, state, value)
+
     spec = ObjectiveSpec(variant, config.lam)
-    start = objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps)
-    if not math.isfinite(start):
-        raise FitError(f"objective is {start} at initialization")
+    record(state, objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps))
     terms = (
         TermValue(x, w, variant.reconstruction, config.eps),
         TermValue(y, l, variant.supervision, config.eps),
     )
-    trace = [start]
     state = mu_step(variant, state, x, y, w, l, config.lam, config.eps)
     for _ in range(1, config.max_iters):
         # the next sweep scores the state it starts from
         ahead = mu_step(variant, state, x, y, w, l, config.lam, config.eps, terms=terms)
-        trace.append(ahead.objective)
-        if start > 0 and ahead.objective / start < config.tol:
+        record(state, ahead.objective)
+        if tol_stop(ahead.objective, trace[0], config.tol):
             break
         state = ahead
     else:
-        del terms  # its buffers go before objective builds its own
-        trace.append(objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps))
-    relative_error = trace[-1] / trace[0] if trace[0] > 0 else 0.0
-    return FitResult(
-        variant=variant,
-        config=config,
-        state=state,
-        objective_trace=trace,
-        relative_error=relative_error,
-        iterations_run=len(trace) - 1,
-    )
+        rec_term, sup_term = terms
+        record(state, rec_term(_masked_product(state.a, state.s, w))
+               + config.lam * sup_term(_masked_product(state.b, state.s, l)))
+    return FitResult.from_trace(variant, config, state, trace)
 
 
 def _fit_terms(variant, state, x, y, w, l, lam):

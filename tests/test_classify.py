@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,34 @@ def test_separable_pipeline_high_accuracy(variant):
     s_te = classify.transform(model, x_te, iters=120)
     acc = classify.accuracy(y_te, classify.predict(model, s_te))
     assert acc >= 0.95
+
+
+def stop_tols(trace, sweep):
+    """Two tols whose first stop on this trace falls at sweep."""
+    q = [v / trace[0] for v in trace]
+    gap = q[sweep - 1] - q[sweep]
+    return q[sweep] + gap / 3, q[sweep] + 2 * gap / 3
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_tols_equals_train_at_each_tol(variant):
+    x, y, _ = gen_separable(classes=3, per_class=12, seed=5)
+    cfg = SsnmfConfig(r=3, lam=4.0, max_iters=30, seed=9)
+    trace = classify.train(x, y, variant, cfg)[1].objective_trace
+    late, late_twin = stop_tols(trace, 12)
+    early, _ = stop_tols(trace, 4)
+    never = trace[-1] / trace[0] / 2
+    tols = (late, never, early, late_twin)
+    trained = classify.train_tols(x, y, variant, cfg, tols)
+    assert [trained[tol][1].iterations_run for tol in tols] == [12, 30, 4, 12]
+    for tol in tols:
+        model, result = trained[tol]
+        want_model, want = classify.train(x, y, variant, replace(cfg, tol=tol))
+        assert result.to_dict() == want.to_dict()
+        assert (model.variant, model.config) == (want_model.variant, want_model.config)
+        for got, ref in zip((model.a_train, model.b_train, result.state.s),
+                            (want_model.a_train, want_model.b_train, want.state.s)):
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -1,12 +1,15 @@
 import argparse
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssnmf import cli, matrix
+from ssnmf import classify, cli, matrix, solver
+from ssnmf.objectives import ModelVariant
 from ssnmf.rng import substream
+from ssnmf.solver import SsnmfConfig
 from ssnmf.synth import gen_separable
 
 
@@ -111,6 +114,25 @@ def test_overflowing_fit_exits_one(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == "error: objective is inf at initialization\n"
+
+
+def test_non_finite_value_mid_fit_exits_one(tmp_path, fit_inputs, capsys, monkeypatch):
+    real = solver.mu_step
+    scored = []
+
+    def nan_at_sweep_2(*args, terms=None, **kwargs):
+        out = real(*args, terms=terms, **kwargs)
+        if terms is not None:
+            scored.append(None)  # the n-th scored sweep scores state n
+            if len(scored) == 2:
+                out.objective = float("nan")
+        return out
+
+    monkeypatch.setattr(solver, "mu_step", nan_at_sweep_2)
+    code = cli.main(["fit", "--x", fit_inputs["x"], "--r", "2", "--max-iters", "5",
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: objective is nan at sweep 2\n"
 
 
 # --------------------------------------------------------------------- config
@@ -372,6 +394,92 @@ def test_classify_grid_sweeps_and_picks(tmp_path, classify_inputs):
     chosen = [row for row in report["grid"]
               if row["tol"] == report["tol"] and row["lam"] == report["lam"]]
     assert chosen[0]["val_accuracy"] == best
+
+
+def classify_grid_by_refitting(inputs, out_dir, model_dir, r, max_iters, transform_iters):
+    """classify --grid as a fit per (tol, lam) pair plus a refit of the
+    chosen pair, writing the files the command writes; the reference the
+    one-fit-per-lam grid must match byte for byte."""
+    data = {key: matrix.read_csv(path) for key, path in inputs.items()}
+    variant = ModelVariant.parse("div-fro")
+    base = SsnmfConfig(r=r, lam=100.0, max_iters=max_iters, tol=1e-3)
+
+    def train_eval(config, x_eval, y_eval):
+        model, result = classify.train(data["x_train"], data["y_train"], variant, config)
+        s_eval = classify.transform(model, x_eval, iters=transform_iters)
+        y_pred = classify.predict(model, s_eval)
+        return model, result, y_pred, classify.accuracy(y_eval, y_pred)
+
+    best_acc, grid = -1.0, []
+    for tol in cli.GRID_TOLS:
+        for lam in cli.GRID_LAMBDAS:
+            acc = train_eval(replace(base, tol=tol, lam=lam), data["x_val"], data["y_val"])[3]
+            grid.append({"tol": tol, "lam": lam, "val_accuracy": acc})
+            if acc > best_acc:
+                best_acc, chosen = acc, {"tol": tol, "lam": lam}
+    config = replace(base, **chosen)
+    model, result, y_pred, acc = train_eval(config, data["x_test"], data["y_test"])
+    os.makedirs(out_dir)
+    matrix.write_csv(os.path.join(out_dir, "predictions.csv"), y_pred)
+    classify.save_model(model, model_dir)
+    matrix.write_json(os.path.join(out_dir, "report.json"), {
+        "variant": variant.key, "r": config.r, "lam": config.lam, "tol": config.tol,
+        "max_iters": config.max_iters, "transform_iters": transform_iters,
+        "seed": config.seed, "train_iterations": result.iterations_run,
+        "train_relative_error": result.relative_error, "test_accuracy": acc,
+        "grid": grid,
+    })
+
+
+def test_classify_grid_matches_a_fit_per_pair_byte_for_byte(tmp_path, classify_inputs,
+                                                             monkeypatch):
+    # tols chosen on the first lam's trajectory: two stop together at sweep
+    # 12, one stops at sweep 4 and one never stops
+    x_train, y_train = (matrix.read_csv(classify_inputs[key]) for key in ("x_train", "y_train"))
+    config = SsnmfConfig(r=3, lam=cli.GRID_LAMBDAS[0], max_iters=20)
+    trace = classify.train(x_train, y_train, ModelVariant.DIV_FRO, config)[1].objective_trace
+    q = [v / trace[0] for v in trace]
+    tols = (q[12] + (q[11] - q[12]) / 3, q[-1] / 2, (q[3] + q[4]) / 2,
+            q[12] + 2 * (q[11] - q[12]) / 3)
+    stops = [classify.train(x_train, y_train, ModelVariant.DIV_FRO, replace(config, tol=tol))[1]
+             .iterations_run for tol in tols]
+    assert stops == [12, 20, 4, 12]
+    monkeypatch.setattr(cli, "GRID_TOLS", tols)
+
+    classify_grid_by_refitting(classify_inputs, tmp_path / "ref", tmp_path / "ref_model",
+                               r=3, max_iters=20, transform_iters=15)
+    code = cli.main([
+        "classify", "--grid",
+        *(arg for key, path in classify_inputs.items()
+          for arg in ("--" + key.replace("_", "-"), path)),
+        "--r", "3", "--max-iters", "20", "--transform-iters", "15",
+        "--save-model", str(tmp_path / "model"),
+        "--out-dir", str(tmp_path / "out"), "--no-timestamp",
+    ])
+    assert code == 0
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "ref")
+    assert tree_bytes(tmp_path / "model") == tree_bytes(tmp_path / "ref_model")
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_classify_fits_once_per_lam(tmp_path, classify_inputs, monkeypatch, grid):
+    calls = []
+    real = classify.fit
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "fit", counted)
+    code = cli.main([
+        "classify", *(["--grid"] if grid else []),
+        *(arg for key, path in classify_inputs.items()
+          for arg in ("--" + key.replace("_", "-"), path)),
+        "--r", "3", "--max-iters", "15", "--transform-iters", "15",
+        "--out-dir", str(tmp_path / "out"), "--no-timestamp",
+    ])
+    assert code == 0
+    assert len(calls) == (len(cli.GRID_LAMBDAS) if grid else 1)
 
 
 def test_classify_saves_model(tmp_path, classify_inputs):

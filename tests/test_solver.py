@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssnmf import matrix, objectives
+from ssnmf import matrix, objectives, solver
 from ssnmf.classify import ClassifierModel, transform
 from ssnmf.exceptions import ConfigError, FitError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
@@ -254,7 +254,58 @@ def test_fit_calls_objective_at_most_twice(monkeypatch):
 
     monkeypatch.setattr("ssnmf.solver.objective", counted)
     fit(ModelVariant.DIV_FRO, x, y, SsnmfConfig(r=2, max_iters=30))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_callback_sees_every_trace_entry_and_the_returned_state(variant, tol):
+    _, x, y = random_system(97, n1=9, n2=11, k=3, r=2)
+    w, l = MASKINGS["binary"](x, y)
+    seen = []
+    result = fit(variant, x, y, SsnmfConfig(r=2, lam=0.6, max_iters=40, tol=tol, seed=6),
+                 w, l, callback=lambda sweep, state, value: seen.append((sweep, state, value)))
+    assert [(sweep, value) for sweep, _, value in seen] == list(enumerate(result.objective_trace))
+    assert (result.iterations_run < 40) == (tol > 0)
+    last = seen[-1][1]
+    for got, want in zip((last.a, last.b, last.s),
+                         (result.state.a, result.state.b, result.state.s)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _nan_at_sweep(monkeypatch, bad_sweep):
+    """Make fit's scored sweeps report NaN for the state of bad_sweep."""
+    real = solver.mu_step
+    scored = []
+
+    def patched(*args, terms=None, **kwargs):
+        out = real(*args, terms=terms, **kwargs)
+        if terms is not None:
+            scored.append(None)  # the n-th scored sweep scores state n
+            if len(scored) == bad_sweep:
+                out.objective = float("nan")
+        return out
+
+    monkeypatch.setattr(solver, "mu_step", patched)
+
+
+def test_non_finite_value_after_the_start_is_a_fit_error(monkeypatch):
+    _, x, y = random_system(101)
+    _nan_at_sweep(monkeypatch, 7)
+    with pytest.raises(FitError, match="^objective is nan at sweep 7$"):
+        fit(ModelVariant.DIV_FRO, x, y, SsnmfConfig(r=2, max_iters=20))
+
+
+def test_non_finite_closing_value_is_a_fit_error(monkeypatch):
+    # the last state of a full run is scored by fit's own terms, not a sweep
+    class InfTerm(objectives.TermValue):
+        def __call__(self, wz):
+            return float("inf")
+
+    _, x, y = random_system(103)
+    monkeypatch.setattr(solver, "TermValue", InfTerm)
+    with pytest.raises(FitError, match="^objective is inf at sweep 1$"):
+        fit(ModelVariant.FRO_FRO, x, y, SsnmfConfig(r=2, max_iters=1))
 
 
 @pytest.mark.parametrize("masking", list(MASKINGS))
