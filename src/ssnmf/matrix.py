@@ -9,6 +9,7 @@ finite nonnegative data and 0/1 masks.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -69,8 +70,42 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+# Python's float refuses these ASCII separators next to a number, but numpy's
+# parser strips them as whitespace; a line holding one takes the per-line reader
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_lines(fh):
+    for line in fh:
+        if any(c in line for c in _SEPARATORS):
+            raise ValueError("line holds an ASCII separator")
+        yield line
+
+
 def read_csv(path) -> np.ndarray:
-    """Read a comma-separated numeric matrix. Ragged rows are an error."""
+    """Read a comma-separated numeric matrix. Ragged rows are an error.
+
+    numpy's C parser reads the file. It converts each field to the same
+    double as Python's float. Whatever it refuses, and a file without data,
+    is read again line by line: that reader defines the accepted form and
+    names the line of every error.
+    """
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # lines of the file opened here, not its path: numpy would open a
+        # path itself, decompressing .gz files and fetching URLs
+        try:
+            a = np.loadtxt(_plain_lines(fh), dtype=np.float64, delimiter=",",
+                           comments=None, ndmin=2)
+            if a.size:
+                return a
+        except ValueError:
+            pass
+    return _read_csv_lines(path)
+
+
+def _read_csv_lines(path) -> np.ndarray:
+    """read_csv one Python float at a time, line by line."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -40,6 +40,14 @@ def _check_knobs(config) -> None:
         raise ConfigError(f"eps must be finite and positive, got {config.eps}")
 
 
+def _check_rank(r: int, n1: int, n2: int) -> None:
+    """Reject a rank above min(n1, n2), the largest rank of an n1 x n2 X,
+    before any factor is allocated."""
+    if r > min(n1, n2):
+        raise ConfigError(f"r must be <= min(n1, n2) = {min(n1, n2)} "
+                          f"for {n1} x {n2} data, got {r}")
+
+
 @dataclass(frozen=True)
 class SsnmfConfig:
     """Training knobs: factorization rank and loop controls.
@@ -161,14 +169,13 @@ def _gradient_parts(wz, wx, mask, loss, eps):
     _GRAD_FACTOR[loss] * (pos - neg), and its multiplicative update is the
     ratio of neg to pos carried through the product. A pos of None stands for
     all ones. This is the one place where the loss and the mask are told apart.
+    The divergence quotient needs no masking of its own: where W is 0, W.X is
+    0 and so is W.X / (W.Z + eps).
     """
     if loss is Loss.FRO:
         return wz, wx
     wz += eps
     np.divide(wx, wz, out=wz)
-    if mask is None:
-        return None, wz
-    wz *= mask
     return mask, wz
 
 
@@ -269,6 +276,9 @@ def fit(
 ) -> FitResult:
     """Train the variant on (x, y) and return factors plus the objective trace.
 
+    config.r above min(n1, n2) for the n1 x n2 x is a ConfigError, raised
+    before any factor is drawn.
+
     The trace has one entry per sweep plus the value before the first sweep.
     Stops early at the first sweep where tol_stop(trace[-1], trace[0],
     config.tol) holds. The first value comes from objective; every other
@@ -287,6 +297,7 @@ def fit(
     x, y, w, l = _check_system(x, y, w, l)
     n1, n2 = x.shape
     k = y.shape[0]
+    _check_rank(config.r, n1, n2)
     state = init.copy() if init is not None else initialize(n1, n2, k, config)
     trace = []
 

@@ -31,7 +31,7 @@ import numpy as np
 from .exceptions import ConfigError, FitError
 from .objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
-from .solver import FactorState, _check_knobs, _draw_factors, mu_step
+from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, mu_step
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,7 @@ class ExperimentSpec:
         if not 0 < self.density <= 1:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
         _check_knobs(self)
+        _check_rank(self.r, self.n1, self.n2)
 
 
 def gen_factors(n1: int, n2: int, k: int, r: int, density: float, seed: int) -> FactorState:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssnmf import classify, cli, matrix, solver
+from ssnmf import classify, cli, matrix, solver, synth
 from ssnmf.objectives import ModelVariant
 from ssnmf.rng import substream
 from ssnmf.solver import SsnmfConfig
@@ -66,9 +66,49 @@ def test_missing_matrix_file_names_path(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_empty_matrix_file_is_one_error_line(tmp_path, capfd):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code = cli.main(["fit", "--x", str(empty), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    captured = capfd.readouterr()
+    assert captured.err == f"error: {empty}: no data rows\n"
+
+
 def test_fit_without_x_exits_two(tmp_path, capsys):
     assert cli.main(["fit", "--out-dir", str(tmp_path)]) == 2
     assert "--x" in capsys.readouterr().err
+
+
+def _refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("factors drawn for a rank the data cannot hold")
+
+
+@pytest.mark.parametrize("r", ["7", "20", "100000000"])
+def test_fit_rank_above_the_data_exits_two_before_allocating(tmp_path, fit_inputs, r,
+                                                             capsys, monkeypatch):
+    monkeypatch.setattr(solver, "initialize", _refuse_to_allocate)
+    code = cli.main(["fit", "--x", fit_inputs["x"], "--y", fit_inputs["y"], "--r", r,
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: r must be <= min(n1, n2) = 6 for 6 x 9 data, got {r}\n")
+
+
+def test_fit_rank_at_the_bound_runs(tmp_path, fit_inputs):
+    assert cli.main(["fit", "--x", fit_inputs["x"], "--r", "6", "--max-iters", "3",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
+
+def test_synth_bench_rank_above_the_data_exits_two_before_allocating(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr(synth, "gen_factors", _refuse_to_allocate)
+    code = cli.main(["synth-bench", "--experiment", "1", "--n1", "10", "--n2", "12",
+                     "--r", "100000000", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: r must be <= min(n1, n2) = 10 for 10 x 12 data, got 100000000\n")
 
 
 def test_invalid_experiment_exits_two(tmp_path, capsys):

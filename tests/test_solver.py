@@ -4,7 +4,7 @@ import pytest
 from ssnmf import matrix, objectives, solver
 from ssnmf.classify import ClassifierModel, transform
 from ssnmf.exceptions import ConfigError, FitError, ShapeError
-from ssnmf.objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
+from ssnmf.objectives import VARIANTS, Loss, ModelVariant, ObjectiveSpec, objective
 from ssnmf.solver import (
     FACTOR_FLOOR,
     FactorState,
@@ -126,6 +126,40 @@ def test_none_mask_matches_explicit_ones(path, variant):
     for p, m in zip(plain, masked):
         p, m = np.broadcast_arrays(p, m)
         assert np.allclose(p, m, rtol=1e-12, atol=0)
+
+
+def _gradient_parts_masking_the_quotient(wz, wx, mask, loss, eps):
+    """_gradient_parts as it was, with a second mask pass over the divergence
+    quotient."""
+    if loss is Loss.FRO:
+        return wz, wx
+    wz += eps
+    np.divide(wx, wz, out=wz)
+    if mask is None:
+        return None, wz
+    wz *= mask
+    return mask, wz
+
+
+@pytest.mark.parametrize("masking", ["w-and-l", "none", "w-only"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_divergence_quotient_needs_no_second_mask_pass(variant, masking, monkeypatch):
+    state, x, y = random_system(89, n1=9, n2=11, k=3, r=2)
+    x[::4, ::3] = 0.0
+    w, l = {"w-and-l": (_pattern(x, 3), _pattern(y, 2)),
+            "none": (None, None),
+            "w-only": (_pattern(x, 4), None)}[masking]
+
+    def outputs():
+        out = [part for run in NONE_MASK_PATHS.values()
+               for part in run(variant, state, x, y, w, l)]
+        result = fit(variant, x, y, SsnmfConfig(r=2, lam=0.8, max_iters=15, seed=6), w, l)
+        out += [result.state.a, result.state.b, result.state.s, result.objective_trace]
+        return [np.asarray(part).tobytes() for part in out]
+
+    now = outputs()
+    monkeypatch.setattr(solver, "_gradient_parts", _gradient_parts_masking_the_quotient)
+    assert outputs() == now
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -348,6 +382,19 @@ def test_fit_validates_shapes_and_signs():
     x_bad[0, 0] = -1.0
     with pytest.raises(ShapeError):
         fit(ModelVariant.FRO_FRO, x_bad, y, cfg)
+
+
+def test_fit_rejects_rank_above_the_data_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factors drawn for a rank the data cannot hold")
+
+    monkeypatch.setattr(solver, "initialize", refuse)
+    _, x, y = random_system(97)  # x is 6 x 8, y is 3 x 8
+    for r in (7, 100_000_000):
+        with pytest.raises(ConfigError, match=r"r must be <= min\(n1, n2\) = 6 for 6 x 8"):
+            fit(ModelVariant.FRO_FRO, x, y, SsnmfConfig(r=r))
+        with pytest.raises(ConfigError):
+            fit(ModelVariant.FRO_FRO, x.T, np.ones((3, 6)), SsnmfConfig(r=r))
 
 
 def test_fit_accepts_binary_masks_rejects_fractional():

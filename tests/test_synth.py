@@ -121,6 +121,17 @@ def test_experiment_spec_validation():
         synth.ExperimentSpec(experiment=1, trials=0)
 
 
+def test_experiment_spec_rejects_rank_above_the_data(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factors drawn for a rank the data cannot hold")
+
+    monkeypatch.setattr(synth, "gen_factors", refuse)
+    for n1, n2 in ((4, 9), (9, 4)):
+        with pytest.raises(ConfigError, match=r"r must be <= min\(n1, n2\) = 4"):
+            synth.ExperimentSpec(experiment=1, n1=n1, n2=n2, k=3, r=5)
+    synth.ExperimentSpec(experiment=1, n1=5, n2=9, k=3, r=5)
+
+
 def tiny_spec(experiment=1):
     return synth.ExperimentSpec(
         experiment=experiment, n1=12, n2=12, k=12, r=2,
