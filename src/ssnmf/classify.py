@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import matrix
-from .exceptions import ParseError, ShapeError
-from .objectives import ModelVariant
+from .exceptions import FitError, ParseError, ShapeError
+from .objectives import ModelVariant, TermValue
 from .rng import substream
-from .solver import (FitResult, SsnmfConfig, _apply_floor, _masked, _ratio, _s_terms, fit,
-                     tol_stop)
+from .solver import FitResult, SsnmfConfig, _update_codes, fit, tol_stop
 
 DEFAULT_TRANSFORM_ITERS = 200
 
@@ -108,7 +107,8 @@ def transform(
 
     Runs one-sided multiplicative updates on S alone, using the model's
     reconstruction error. S starts from the same seeded uniform scheme as
-    training initialization (its own substream of config.seed).
+    training initialization (its own substream of config.seed). Codes that
+    are not finite after the last update raise FitError.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -122,11 +122,13 @@ def transform(
     eps = model.config.eps
     gen = substream(model.config.seed, "transform")
     s = gen.random((a.shape[1], x_test.shape[1])) + 0.01
-    loss = model.variant.reconstruction
-    wx = _masked(x_test, w_test)
-    for _ in range(iters):
-        num, den = _s_terms(a, s, wx, w_test, loss, eps)
-        s = _apply_floor(s * _ratio(num, den, eps))
+    weighted = [(a, TermValue(x_test, w_test, model.variant.reconstruction, eps), 1.0)]
+    # a non-finite entry stays non-finite, so one check after the loop is enough
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            s = _update_codes(s, weighted, eps)
+    if not np.all(np.isfinite(s)):
+        raise FitError(f"transform codes are not finite after {iters} iterations")
     return s
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,11 +75,12 @@ class ObjectiveSpec:
 
 
 class TermValue:
-    """One fit term's error loss(W.X || W.Z), scored on masked products W.Z.
+    """One fit term loss(W.X || W.Z) with Z = f @ s: its masked product, its
+    gradient split and its error, the one place where loss and mask differ.
 
-    W.X is built once, and for the divergence so are the flat positions of
-    its positive entries, their values and its sum; scoring gathers W.Z at
-    those positions with take, into a buffer kept with the term.
+    W.X is built once. The first score builds what scoring needs: a buffer
+    and, for the divergence, the flat positions of W.X's positive entries,
+    their values and its sum, at which scoring gathers W.Z with take.
     """
 
     def __init__(self, x, mask, loss: Loss, eps: float = 0.0):
@@ -94,30 +94,55 @@ class TermValue:
         self.wx = x
         self.loss = loss
         self.eps = eps
-        if loss is Loss.FRO:
-            self._scratch = np.empty(x.shape)
-            return
-        if np.any(x < 0):
-            raise ValueError("i_divergence requires nonnegative entries")
-        self.positions = np.flatnonzero(x > 0)
-        self.values = x.take(self.positions)
-        self.total = x.sum()
-        self._scratch = np.empty(self.positions.size)
+        # the squared Frobenius residual brings a 2 the divergence lacks
+        self.grad_factor = 2.0 if loss is Loss.FRO else 1.0
+        self._scratch = self.positions = None
+
+    def product(self, f, s):
+        """W.(f @ s), formed in place: the product is fresh, and every large
+        temporary costs page faults once the allocator has handed its memory back."""
+        z = f @ s
+        if self.mask is not None:
+            z *= self.mask
+        return z
+
+    def parts(self, wz):
+        """The nonnegative parts (pos, neg) of the term's gradient in Z.
+
+        wz is the masked product W.Z, which is reused in place. The gradient
+        is grad_factor * (pos - neg), and the multiplicative update is the
+        ratio of neg to pos carried through the product. A pos of None stands
+        for all ones. The divergence quotient needs no masking of its own:
+        where W is 0, W.X is 0 and so is W.X / (W.Z + eps).
+        """
+        if self.loss is Loss.FRO:
+            return wz, self.wx
+        wz += self.eps
+        np.divide(self.wx, wz, out=wz)
+        return self.mask, wz
 
     def __call__(self, wz) -> float:
         """The term's error at the masked product wz = W.Z, which is left as it is."""
+        # the first score allocates the buffer (out=None), later ones reuse it
         if self.loss is Loss.FRO:
-            d = np.subtract(self.wx, wz, out=self._scratch).ravel()
+            self._scratch = np.subtract(self.wx, wz, out=self._scratch)
+            d = self._scratch.ravel()
             # huge residuals square to inf, the intended value: fit reports it as a FitError
             with np.errstate(over="ignore"):
                 return float(np.dot(d, d))
+        if self.positions is None:
+            if np.any(self.wx < 0):
+                raise ValueError("i_divergence requires nonnegative entries")
+            self.positions = np.flatnonzero(self.wx > 0)
+            self.values = self.wx.take(self.positions)
+            self.total = self.wx.sum()
         if np.any(wz < 0):
             raise ValueError("i_divergence requires nonnegative entries")
         total = float(wz.sum() - self.total)
         if not self.positions.size:
             return total
         # mode="clip" lets take write into the buffer directly; every position is in range
-        bp = np.take(wz, self.positions, out=self._scratch, mode="clip")
+        self._scratch = bp = np.take(wz, self.positions, out=self._scratch, mode="clip")
         bp += self.eps
         with np.errstate(divide="ignore"):
             logs = np.log(np.divide(self.values, bp, out=bp), out=bp)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matrix
 from .exceptions import ConfigError, FitError, ShapeError
-from .objectives import Loss, ModelVariant, ObjectiveSpec, TermValue, objective
+from .objectives import ModelVariant, ObjectiveSpec, TermValue, objective
 from .rng import substream
 
 
@@ -147,38 +147,6 @@ def _apply_floor(f):
     return f
 
 
-# Factor of each loss's gradient in the product: the squared Frobenius
-# residual brings a 2 that the divergence gradient lacks.
-_GRAD_FACTOR = {Loss.FRO: 2.0, Loss.DIV: 1.0}
-
-
-def _masked_product(f, s, mask):
-    """W.(f @ s), formed in place: the product is fresh, and every large
-    temporary costs page faults once the allocator has handed its memory back."""
-    z = f @ s
-    if mask is not None:
-        z *= mask
-    return z
-
-
-def _gradient_parts(wz, wx, mask, loss, eps):
-    """The nonnegative parts (pos, neg) of one fit term's gradient in Z = f @ s.
-
-    wz is the masked product W.Z, which is reused in place, and wx is W.X
-    (the data itself when mask is None). The term's gradient in Z is
-    _GRAD_FACTOR[loss] * (pos - neg), and its multiplicative update is the
-    ratio of neg to pos carried through the product. A pos of None stands for
-    all ones. This is the one place where the loss and the mask are told apart.
-    The divergence quotient needs no masking of its own: where W is 0, W.X is
-    0 and so is W.X / (W.Z + eps).
-    """
-    if loss is Loss.FRO:
-        return wz, wx
-    wz += eps
-    np.divide(wx, wz, out=wz)
-    return mask, wz
-
-
 def _times_st(part, s):
     """part @ s.T, with None (all ones) as the row sums of s."""
     return s.sum(axis=1)[None, :] if part is None else part @ s.T
@@ -189,24 +157,32 @@ def _ft_times(f, part):
     return f.sum(axis=0)[:, None] if part is None else f.T @ part
 
 
-def _update_dictionary(f, s, wx, mask, loss, eps, term=None):
+def _terms(variant, x, y, w, l, eps):
+    """The (reconstruction, supervision) objectives.TermValue pair of a system."""
+    return (TermValue(x, w, variant.reconstruction, eps),
+            TermValue(y, l, variant.supervision, eps))
+
+
+def _update_dictionary(f, s, term, eps, scored):
     """One multiplicative update of a dictionary factor (A or B), s held fixed,
-    and the error at (f, s) of term, an objectives.TermValue, scored from the
-    update's own product (None without a term)."""
-    wz = _masked_product(f, s, mask)
-    value = None if term is None else term(wz)
-    pos, neg = _gradient_parts(wz, wx, mask, loss, eps)
+    and the term's error at (f, s), scored from the update's own product
+    when scored (None otherwise)."""
+    wz = term.product(f, s)
+    value = term(wz) if scored else None
+    pos, neg = term.parts(wz)
     return _apply_floor(f * _ratio(_times_st(neg, s), _times_st(pos, s), eps)), value
 
 
-def _s_terms(f, s, wx, mask, loss, eps):
-    """Numerator and denominator contribution of one fit term to the S update."""
-    pos, neg = _gradient_parts(_masked_product(f, s, mask), wx, mask, loss, eps)
-    return _ft_times(f, neg), _ft_times(f, pos)
-
-
-def _masked(data, mask):
-    return data if mask is None else mask * data
+def _update_codes(s, weighted, eps):
+    """One multiplicative update of the codes S under the fit terms in
+    weighted, (f, term, weight) each with its factor f held fixed: numerator
+    and denominator sum weight * f.T @ part over the terms."""
+    num = den = None
+    for f, term, weight in weighted:
+        pos, neg = term.parts(term.product(f, s))
+        n, d = weight * _ft_times(f, neg), weight * _ft_times(f, pos)
+        num, den = (n, d) if num is None else (num + n, den + d)
+    return _apply_floor(s * _ratio(num, den, eps))
 
 
 def mu_step(
@@ -229,23 +205,15 @@ def mu_step(
     The returned state then carries that objective; without terms, nothing
     is scored and its objective is None.
     """
-    rec = variant.reconstruction
-    sup = variant.supervision
-    rec_term, sup_term = terms or (None, None)
-    wx = _masked(x, w) if rec_term is None else rec_term.wx
-    wy = _masked(y, l) if sup_term is None else sup_term.wx
-    a, rec_value = _update_dictionary(state.a, state.s, wx, w, rec, eps, rec_term)
-    b, sup_value = _update_dictionary(state.b, state.s, wy, l, sup, eps, sup_term)
-
+    scored = terms is not None
+    rec, sup = terms if scored else _terms(variant, x, y, w, l, eps)
+    a, rec_value = _update_dictionary(state.a, state.s, rec, eps, scored)
+    b, sup_value = _update_dictionary(state.b, state.s, sup, eps, scored)
     # the S update weighs each term by its gradient factor; the factors
     # cancel only when both terms share a loss
-    num_r, den_r = _s_terms(a, state.s, wx, w, rec, eps)
-    num_s, den_s = _s_terms(b, state.s, wy, l, sup, eps)
-    cr, cs = (1.0, 1.0) if rec is sup else (_GRAD_FACTOR[rec], _GRAD_FACTOR[sup])
-    num = cr * num_r + cs * lam * num_s
-    den = cr * den_r + cs * lam * den_s
-    s = _apply_floor(state.s * _ratio(num, den, eps))
-    value = None if terms is None else rec_value + lam * sup_value
+    cr, cs = (1.0, 1.0) if rec.loss is sup.loss else (rec.grad_factor, sup.grad_factor)
+    s = _update_codes(state.s, [(a, rec, cr), (b, sup, cs * lam)], eps)
+    value = rec_value + lam * sup_value if scored else None
     return FactorState(a, b, s, value)
 
 
@@ -312,10 +280,7 @@ def fit(
 
     spec = ObjectiveSpec(variant, config.lam)
     record(state, objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps))
-    terms = (
-        TermValue(x, w, variant.reconstruction, config.eps),
-        TermValue(y, l, variant.supervision, config.eps),
-    )
+    terms = _terms(variant, x, y, w, l, config.eps)
     state = mu_step(variant, state, x, y, w, l, config.lam, config.eps)
     for _ in range(1, config.max_iters):
         # the next sweep scores the state it starts from
@@ -325,18 +290,10 @@ def fit(
             break
         state = ahead
     else:
-        rec_term, sup_term = terms
-        record(state, rec_term(_masked_product(state.a, state.s, w))
-               + config.lam * sup_term(_masked_product(state.b, state.s, l)))
+        rec, sup = terms
+        record(state, rec(rec.product(state.a, state.s))
+               + config.lam * sup(sup.product(state.b, state.s)))
     return FitResult.from_trace(variant, config, state, trace)
-
-
-def _fit_terms(variant, state, x, y, w, l, lam):
-    """(factor, masked data, mask, loss, weight) of the reconstruction and supervision terms."""
-    return (
-        (state.a, _masked(np.asarray(x, dtype=np.float64), w), w, variant.reconstruction, 1.0),
-        (state.b, _masked(np.asarray(y, dtype=np.float64), l), l, variant.supervision, lam),
-    )
 
 
 def gradient(
@@ -356,9 +313,9 @@ def gradient(
     s = state.s
     grads = []
     ds = 0.0
-    for f, wx, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
-        pos, neg = _gradient_parts(_masked_product(f, s, mask), wx, mask, loss, eps)
-        c = _GRAD_FACTOR[loss] * weight
+    for f, term, weight in zip((state.a, state.b), _terms(variant, x, y, w, l, eps), (1.0, lam)):
+        pos, neg = term.parts(term.product(f, s))
+        c = term.grad_factor * weight
         grads.append(c * (_times_st(pos, s) - _times_st(neg, s)))
         ds = ds + c * (_ft_times(f, pos) - _ft_times(f, neg))
     return grads[0], grads[1], ds
@@ -382,9 +339,9 @@ def step_scale(
     s = state.s
     scales = []
     den = 0.0
-    for f, wx, mask, loss, weight in _fit_terms(variant, state, x, y, w, l, lam):
-        pos, _ = _gradient_parts(_masked_product(f, s, mask), wx, mask, loss, eps)
-        c = _GRAD_FACTOR[loss] * weight
+    for f, term, weight in zip((state.a, state.b), _terms(variant, x, y, w, l, eps), (1.0, lam)):
+        pos, _ = term.parts(term.product(f, s))
+        c = term.grad_factor * weight
         scales.append(f / (c * _times_st(pos, s) + eps))
         den = den + c * _ft_times(f, pos)
     return scales[0], scales[1], s / (den + eps)

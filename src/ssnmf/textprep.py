@@ -136,6 +136,8 @@ def build_vocabulary(
         raise ParseError(f"min_df must be >= 1, got {min_df}")
     if not 0 < max_df_ratio <= 1:
         raise ParseError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
+    if not (max_size is None or max_size >= 1):
+        raise ParseError(f"max_size must be >= 1, got {max_size}")
     stop = set(stop_terms)
     doc_freq = Counter()
     total_freq = Counter()
@@ -219,6 +221,8 @@ def split(
         raise ParseError("ratios must have three entries")
     if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
         raise ParseError(f"ratios must be nonnegative and sum to 1, got {ratios}")
+    if not (per_class_cap is None or per_class_cap >= 1):
+        raise ParseError(f"per_class_cap must be >= 1, got {per_class_cap}")
     by_class = {}
     for idx, doc in enumerate(corpus.documents):
         by_class.setdefault(doc.class_id, []).append(idx)

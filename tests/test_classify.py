@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssnmf import classify
-from ssnmf.exceptions import ParseError, ShapeError
+from ssnmf.exceptions import FitError, ParseError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, frobenius_sq, i_divergence
 from ssnmf.rng import substream
 from ssnmf.solver import SsnmfConfig
@@ -94,6 +94,15 @@ def test_transform_rejects_fractional_mask_and_non_finite_data():
         x[3, 4] = bad
         with pytest.raises(ShapeError, match="x_test must be entrywise finite"):
             classify.transform(model, x)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_with_non_finite_codes_is_a_fit_error(variant):
+    # finite data whose products overflow: the codes go inf/NaN on the way
+    cfg = SsnmfConfig(r=2, seed=5)
+    model = classify.ClassifierModel(np.ones((4, 2)), np.ones((2, 2)), variant, cfg)
+    with pytest.raises(FitError, match="^transform codes are not finite after 20 iterations$"):
+        classify.transform(model, np.full((4, 5), 1e308), iters=20)
 
 
 def test_predict_shape_check():

@@ -156,6 +156,16 @@ def test_overflowing_fit_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: objective is inf at initialization\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**32)])
+def test_fit_seed_outside_32_bits_exits_two(tmp_path, fit_inputs, seed, capsys):
+    out = tmp_path / "o"
+    code = cli.main(["fit", "--x", fit_inputs["x"], "--r", "2", "--max-iters", "3",
+                     "--seed", seed, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**32), got {seed}\n"
+    assert not (out / "result.json").exists()
+
+
 def test_non_finite_value_mid_fit_exits_one(tmp_path, fit_inputs, capsys, monkeypatch):
     real = solver.mu_step
     scored = []
@@ -392,6 +402,26 @@ def test_classify_end_to_end(tmp_path, classify_inputs, capsys):
     preds = matrix.read_csv(out / "predictions.csv")
     assert preds.shape == (3, 18)
     assert "test accuracy" in capsys.readouterr().out
+
+
+def test_classify_with_overflowing_test_data_exits_one(tmp_path, classify_inputs, capsys):
+    # finite test data whose products overflow: the codes go non-finite, which
+    # is a fit failure (1) with one error line, not an accuracy on NaN codes
+    rows = matrix.read_csv(classify_inputs["x_test"]).shape
+    huge = write_matrix(tmp_path / "huge.csv", np.full(rows, 1e308))
+    code = cli.main([
+        "classify",
+        "--x-train", classify_inputs["x_train"],
+        "--y-train", classify_inputs["y_train"],
+        "--x-test", huge,
+        "--y-test", classify_inputs["y_test"],
+        "--r", "3", "--max-iters", "20", "--transform-iters", "20",
+        "--out-dir", str(tmp_path / "out"), "--no-timestamp",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: transform codes are not finite after 20 iterations\n"
+    assert "test accuracy" not in captured.out
 
 
 def test_classify_requires_train_and_test(tmp_path, classify_inputs, capsys):
@@ -636,6 +666,23 @@ def test_prep_jsonl_autodetected(tmp_path):
                      "--out-dir", str(out), "--no-timestamp"])
     assert code == 0
     assert read_json(out / "report.json")["classes"] == ["sport", "tech"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-size", "-1"), ("--max-size", "0"), ("--per-class-cap", "-1"), ("--per-class-cap", "0"),
+])
+def test_prep_size_below_one_exits_two(tmp_path, flag, value, capsys):
+    path = tmp_path / "docs.jsonl"
+    rows = [{"text": f"{topic} word{i} shared", "group": topic, "subgroup": topic}
+            for topic in ("sport", "tech") for i in range(12)]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    out = tmp_path / "out"
+    code = cli.main(["prep", "--input", str(path), "--min-df", "1", flag, value,
+                     "--out-dir", str(out), "--no-timestamp"])
+    assert code == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be >= 1, got {value}\n"
+    assert not out.exists()
 
 
 def test_prep_missing_input_exits_two(tmp_path, capsys):

@@ -128,17 +128,17 @@ def test_none_mask_matches_explicit_ones(path, variant):
         assert np.allclose(p, m, rtol=1e-12, atol=0)
 
 
-def _gradient_parts_masking_the_quotient(wz, wx, mask, loss, eps):
-    """_gradient_parts as it was, with a second mask pass over the divergence
-    quotient."""
-    if loss is Loss.FRO:
-        return wz, wx
-    wz += eps
-    np.divide(wx, wz, out=wz)
-    if mask is None:
+def _parts_masking_the_quotient(term, wz):
+    """TermValue.parts in its older form, with a second mask pass over the
+    divergence quotient."""
+    if term.loss is Loss.FRO:
+        return wz, term.wx
+    wz += term.eps
+    np.divide(term.wx, wz, out=wz)
+    if term.mask is None:
         return None, wz
-    wz *= mask
-    return mask, wz
+    wz *= term.mask
+    return term.mask, wz
 
 
 @pytest.mark.parametrize("masking", ["w-and-l", "none", "w-only"])
@@ -158,8 +158,20 @@ def test_divergence_quotient_needs_no_second_mask_pass(variant, masking, monkeyp
         return [np.asarray(part).tobytes() for part in out]
 
     now = outputs()
-    monkeypatch.setattr(solver, "_gradient_parts", _gradient_parts_masking_the_quotient)
+    monkeypatch.setattr(objectives.TermValue, "parts", _parts_masking_the_quotient)
     assert outputs() == now
+
+
+@pytest.mark.parametrize("bad", ["w", "l"])
+@pytest.mark.parametrize("path", ["mu_step", "gradient", "step_scale"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mask_of_another_shape_is_a_shape_error(variant, path, bad):
+    # a (1, n2) row would broadcast against the product without the check
+    state, x, y = random_system(31)
+    masks = {"w": np.ones_like(x), "l": np.ones_like(y)}
+    masks[bad] = np.ones((1, x.shape[1]))
+    with pytest.raises(ShapeError, match="mask shape mismatch"):
+        NONE_MASK_PATHS[path](variant, state, x, y, masks["w"], masks["l"])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

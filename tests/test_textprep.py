@@ -84,6 +84,13 @@ def test_build_vocabulary_empty_raises():
         textprep.build_vocabulary(corpus, stop_terms=("the",))
 
 
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_build_vocabulary_size_below_one_raises(max_size):
+    corpus = make_corpus(["apple banana", "apple cherry"])
+    with pytest.raises(ParseError, match=f"max_size must be >= 1, got {max_size}"):
+        textprep.build_vocabulary(corpus, max_size=max_size)
+
+
 def test_idf_formula():
     corpus = make_corpus(["cat dog", "cat"])
     vocab = textprep.build_vocabulary(corpus)
@@ -164,6 +171,13 @@ def test_split_rejects_bad_ratios(ratios):
     corpus = Corpus([Document(f"d{i}", 0, 0) for i in range(5)], ["only"], ["g0"])
     with pytest.raises(ParseError, match="ratios must be nonnegative and sum to 1"):
         textprep.split(corpus, ratios=ratios)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_split_cap_below_one_raises(cap):
+    corpus = Corpus([Document(f"d{i}", 0, 0) for i in range(5)], ["only"], ["g0"])
+    with pytest.raises(ParseError, match=f"per_class_cap must be >= 1, got {cap}"):
+        textprep.split(corpus, per_class_cap=cap)
 
 
 def test_split_cap_larger_than_class_fails():
