@@ -107,8 +107,11 @@ def transform(
 
     Runs one-sided multiplicative updates on S alone, using the model's
     reconstruction error. S starts from the same seeded uniform scheme as
-    training initialization (its own substream of config.seed). Codes that
-    are not finite after the last update raise FitError.
+    training initialization (its own substream of config.seed). Under the
+    divergence the quotient W.X / (W.AS + eps) is formed at X's nonzero
+    entries only when W.X is at most objectives.SPARSE_QUOTIENT_DENSITY
+    dense, as text data is. Codes that are not finite after the last update
+    raise FitError.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")

@@ -74,13 +74,24 @@ class ObjectiveSpec:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
+# Largest density of W.X (nonzero entries over all entries) at which parts
+# forms the divergence quotient at W.X's nonzero entries only. Measured on one
+# core (numpy 2.4, OpenBLAS, 1 thread), median µs of gather+divide+scatter vs
+# the dense add+divide: 100x100 at 10% 11.6 vs 13.9, at 15% 15.1 vs 14.2;
+# 500x500 at 15% 327 vs 418, at 20% 395 vs 435; 600x723 at 15% 580 vs 729,
+# at 20% 675 vs 713.
+SPARSE_QUOTIENT_DENSITY = 0.15
+
+
 class TermValue:
     """One fit term loss(W.X || W.Z) with Z = f @ s: its masked product, its
     gradient split and its error, the one place where loss and mask differ.
 
-    W.X is built once. The first score builds what scoring needs: a buffer
-    and, for the divergence, the flat positions of W.X's positive entries,
-    their values and its sum, at which scoring gathers W.Z with take.
+    W.X is built once. The first score builds a buffer. For the divergence,
+    the first score, or the first gradient split of a sparse W.X, builds the
+    flat positions of W.X's nonzero entries, their values and its sum
+    (_support): scoring gathers W.Z there with take, and so does the
+    quotient of a sparse W.X.
     """
 
     def __init__(self, x, mask, loss: Loss, eps: float = 0.0):
@@ -96,7 +107,7 @@ class TermValue:
         self.eps = eps
         # the squared Frobenius residual brings a 2 the divergence lacks
         self.grad_factor = 2.0 if loss is Loss.FRO else 1.0
-        self._scratch = self.positions = None
+        self._scratch = self.positions = self._quotient = self._sparse = None
 
     def product(self, f, s):
         """W.(f @ s), formed in place: the product is fresh, and every large
@@ -106,20 +117,61 @@ class TermValue:
             z *= self.mask
         return z
 
+    def _support(self):
+        """W.X's nonzero entries as flat positions, their values and W.X's
+        sum, built once."""
+        if self.positions is None:
+            # a bool array's nonzero runs about twice as fast as a float one's
+            self.positions = np.flatnonzero(self.wx != 0)
+            self.values = self.wx.take(self.positions)
+            self.total = self.wx.sum()
+            self.negative = bool(np.any(self.values < 0))
+
+    def _is_sparse(self):
+        """Whether W.X is at most SPARSE_QUOTIENT_DENSITY nonzero, counted once."""
+        if self._sparse is None:
+            self._sparse = np.count_nonzero(self.wx) <= SPARSE_QUOTIENT_DENSITY * self.wx.size
+        return self._sparse
+
+    def _gather(self, wz):
+        """W.Z + eps at the positions, in the term's scratch buffer."""
+        # mode="clip" lets take write into the buffer directly; every position is in range
+        self._scratch = bp = np.take(wz, self.positions, out=self._scratch, mode="clip")
+        bp += self.eps
+        return bp
+
     def parts(self, wz):
         """The nonnegative parts (pos, neg) of the term's gradient in Z.
 
-        wz is the masked product W.Z, which is reused in place. The gradient
-        is grad_factor * (pos - neg), and the multiplicative update is the
-        ratio of neg to pos carried through the product. A pos of None stands
-        for all ones. The divergence quotient needs no masking of its own:
-        where W is 0, W.X is 0 and so is W.X / (W.Z + eps).
+        wz is the masked product W.Z, which may be reused in place. The
+        gradient is grad_factor * (pos - neg), and the multiplicative update
+        is the ratio of neg to pos carried through the product. A pos of None
+        stands for all ones; the divergence's pos is the mask whatever wz is.
+        The divergence quotient W.X / (W.Z + eps) needs no masking of its
+        own, since where W is 0, W.X is 0 and so is the quotient.
+
+        When W.X is sparse (density at most SPARSE_QUOTIENT_DENSITY) the
+        quotient is formed at W.X's nonzero entries only and scattered into
+        the term's buffer, whose other entries stay 0; the returned neg is
+        that buffer, valid until the next call. Otherwise it is formed over
+        the whole grid in wz. The two forms agree bit for bit whenever
+        W.Z + eps > 0 everywhere, which holds for every eps > 0 (a -0.0 in
+        W.X leaves a 0 of the other sign). At eps = 0 a zero of W.Z gives
+        inf in both forms where W.X > 0; where W.X is 0 it gives 0/0 = NaN
+        in the dense form and stays 0 in the sparse one.
         """
         if self.loss is Loss.FRO:
             return wz, self.wx
-        wz += self.eps
-        np.divide(self.wx, wz, out=wz)
-        return self.mask, wz
+        if not self._is_sparse():
+            wz += self.eps
+            np.divide(self.wx, wz, out=wz)
+            return self.mask, wz
+        self._support()
+        if self._quotient is None:
+            self._quotient = np.zeros(self.wx.shape)
+        bp = self._gather(wz)
+        self._quotient.ravel()[self.positions] = np.divide(self.values, bp, out=bp)
+        return self.mask, self._quotient
 
     def __call__(self, wz) -> float:
         """The term's error at the masked product wz = W.Z, which is left as it is."""
@@ -130,20 +182,13 @@ class TermValue:
             # huge residuals square to inf, the intended value: fit reports it as a FitError
             with np.errstate(over="ignore"):
                 return float(np.dot(d, d))
-        if self.positions is None:
-            if np.any(self.wx < 0):
-                raise ValueError("i_divergence requires nonnegative entries")
-            self.positions = np.flatnonzero(self.wx > 0)
-            self.values = self.wx.take(self.positions)
-            self.total = self.wx.sum()
-        if np.any(wz < 0):
+        self._support()
+        if self.negative or np.any(wz < 0):
             raise ValueError("i_divergence requires nonnegative entries")
         total = float(wz.sum() - self.total)
         if not self.positions.size:
             return total
-        # mode="clip" lets take write into the buffer directly; every position is in range
-        self._scratch = bp = np.take(wz, self.positions, out=self._scratch, mode="clip")
-        bp += self.eps
+        bp = self._gather(wz)
         with np.errstate(divide="ignore"):
             logs = np.log(np.divide(self.values, bp, out=bp), out=bp)
         if np.any(np.isinf(logs)):

@@ -196,6 +196,7 @@ def mu_step(
     eps: float = 1e-10,
     *,
     terms=None,
+    reuse=None,
 ) -> FactorState:
     """One sweep of multiplicative updates (A, then B, then S).
 
@@ -203,10 +204,12 @@ def mu_step(
     these x, y, w, l and eps, makes the sweep score the state it starts from
     on the way: the A and B updates form exactly W.AS and L.BS of that state.
     The returned state then carries that objective; without terms, nothing
-    is scored and its objective is None.
+    is scored and its objective is None. reuse, such a pair given instead of
+    terms, saves building one per sweep and scores nothing.
     """
     scored = terms is not None
-    rec, sup = terms if scored else _terms(variant, x, y, w, l, eps)
+    pair = terms if scored else reuse
+    rec, sup = pair if pair is not None else _terms(variant, x, y, w, l, eps)
     a, rec_value = _update_dictionary(state.a, state.s, rec, eps, scored)
     b, sup_value = _update_dictionary(state.b, state.s, sup, eps, scored)
     # the S update weighs each term by its gradient factor; the factors
@@ -281,7 +284,7 @@ def fit(
     spec = ObjectiveSpec(variant, config.lam)
     record(state, objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps))
     terms = _terms(variant, x, y, w, l, config.eps)
-    state = mu_step(variant, state, x, y, w, l, config.lam, config.eps)
+    state = mu_step(variant, state, x, y, w, l, config.lam, config.eps, reuse=terms)
     for _ in range(1, config.max_iters):
         # the next sweep scores the state it starts from
         ahead = mu_step(variant, state, x, y, w, l, config.lam, config.eps, terms=terms)

@@ -31,7 +31,7 @@ import numpy as np
 from .exceptions import ConfigError, FitError
 from .objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
-from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, mu_step
+from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, _terms, mu_step
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,9 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
     errors = np.empty(len(VARIANTS))
     for i, variant in enumerate(VARIANTS):
         state = init.copy()
+        terms = _terms(variant, x, y, None, None, spec.eps)
         for _ in range(spec.max_iters):
-            state = mu_step(variant, state, x, y, None, None, spec.lam, spec.eps)
+            state = mu_step(variant, state, x, y, None, None, spec.lam, spec.eps, reuse=terms)
         if not all(np.all(np.isfinite(f)) for f in (state.a, state.b, state.s)):
             raise FitError(
                 f"non-finite factors in trial {trial}, experiment {spec.experiment}, "

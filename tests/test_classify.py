@@ -105,6 +105,19 @@ def test_transform_with_non_finite_codes_is_a_fit_error(variant):
         classify.transform(model, np.full((4, 5), 1e308), iters=20)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_with_an_overflowing_sparse_column_is_a_fit_error(variant):
+    # one column of 1e308 in otherwise zero data: 1 in 18 entries is nonzero,
+    # so a divergence model forms its quotient at those entries only
+    rng = np.random.default_rng(3)
+    cfg = SsnmfConfig(r=3, seed=5)
+    model = classify.ClassifierModel(rng.random((30, 3)) + 0.1, np.ones((2, 3)), variant, cfg)
+    x = np.zeros((30, 18))
+    x[:, 4] = 1e308
+    with pytest.raises(FitError, match="^transform codes are not finite after 20 iterations$"):
+        classify.transform(model, x, iters=20)
+
+
 def test_predict_shape_check():
     model = classify.ClassifierModel(
         np.ones((4, 2)), np.ones((3, 2)), ModelVariant.FRO_FRO, SsnmfConfig(r=2)

@@ -424,6 +424,28 @@ def test_classify_with_overflowing_test_data_exits_one(tmp_path, classify_inputs
     assert "test accuracy" not in captured.out
 
 
+def test_classify_with_an_overflowing_sparse_test_column_exits_one(tmp_path, classify_inputs,
+                                                                  capsys):
+    # the default div-fro model forms its quotient at the nonzero entries of
+    # this test data, zero but for one column of 1e308
+    rows, cols = matrix.read_csv(classify_inputs["x_test"]).shape
+    x = np.zeros((rows, cols))
+    x[:, 4] = 1e308
+    code = cli.main([
+        "classify",
+        "--x-train", classify_inputs["x_train"],
+        "--y-train", classify_inputs["y_train"],
+        "--x-test", write_matrix(tmp_path / "sparse.csv", x),
+        "--y-test", classify_inputs["y_test"],
+        "--r", "3", "--max-iters", "20", "--transform-iters", "20",
+        "--out-dir", str(tmp_path / "out"), "--no-timestamp",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: transform codes are not finite after 20 iterations\n"
+    assert "test accuracy" not in captured.out
+
+
 def test_classify_requires_train_and_test(tmp_path, classify_inputs, capsys):
     assert cli.main(["classify", "--x-train", classify_inputs["x_train"],
                      "--out-dir", str(tmp_path)]) == 2

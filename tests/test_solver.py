@@ -162,6 +162,120 @@ def test_divergence_quotient_needs_no_second_mask_pass(variant, masking, monkeyp
     assert outputs() == now
 
 
+def _parts_dense_quotient(term, wz):
+    """TermValue.parts with the divergence quotient formed over the whole
+    grid at every density, kept as the reference for the sparse form."""
+    if term.loss is Loss.FRO:
+        return wz, term.wx
+    wz += term.eps
+    np.divide(term.wx, wz, out=wz)
+    return term.mask, wz
+
+
+def _sparse_x(gen, shape, nonzero):
+    """A nonnegative x with exactly nonzero positive entries, at random positions."""
+    x = np.zeros(shape)
+    x.ravel()[gen.choice(x.size, nonzero, replace=False)] = gen.random(nonzero) + 0.05
+    return x
+
+
+# nonzero entries of a 100 x 100 W.X at the crossover density, 1500 at 15%
+AT_CROSSOVER = round(objectives.SPARSE_QUOTIENT_DENSITY * 100 * 100)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.5])
+@pytest.mark.parametrize("masking", ["none", "binary"])
+@pytest.mark.parametrize("nonzero,zero_column", [
+    pytest.param(AT_CROSSOVER // 2, False, id="half"),
+    pytest.param(AT_CROSSOVER - 1, False, id="below"),
+    pytest.param(AT_CROSSOVER, False, id="at"),
+    pytest.param(AT_CROSSOVER + 1, False, id="above"),
+    pytest.param(3 * AT_CROSSOVER, False, id="dense"),
+    pytest.param(AT_CROSSOVER, True, id="zero-column"),
+    pytest.param(0, False, id="all-zero"),
+])
+def test_sparse_quotient_equals_the_dense_form(nonzero, zero_column, masking, eps):
+    gen = np.random.default_rng(nonzero)
+    wx = _sparse_x(gen, (100, 100), nonzero)
+    if zero_column:
+        wx[:, 7] = 0.0
+    x, w = wx, None
+    if masking == "binary":
+        # W keeps every entry of wx and some others; what it drops is positive in x
+        w = ((wx > 0) | (gen.random(wx.shape) < 0.5)).astype(float)
+        x = wx + (w == 0) * gen.random(wx.shape)
+    f = gen.random((100, 4))
+    term = objectives.TermValue(x, w, Loss.DIV, eps)
+    reference = objectives.TermValue(x, w, Loss.DIV, eps)
+    assert np.count_nonzero(term.wx) == np.count_nonzero(wx)
+    # the term's quotient buffer is reused: the second product overwrites the first
+    for s in (gen.random((4, 100)), gen.random((4, 100)) * 1e-3):
+        if zero_column:
+            s[:, 7] = 0.0  # W.Z + eps is eps in column 7
+        wz = term.product(f, s)
+        pos, neg = term.parts(wz)
+        want_pos, want_neg = _parts_dense_quotient(reference, reference.product(f, s))
+        assert pos is want_pos
+        assert neg.tobytes() == want_neg.tobytes()
+        # the dense form divides in wz and builds no positions, the sparse
+        # one divides into the term's buffer
+        dense = np.count_nonzero(wx) > AT_CROSSOVER
+        assert (neg is wz) == dense
+        assert (term.positions is None) == dense
+
+
+def test_quotient_forms_differ_only_where_wz_plus_eps_is_zero():
+    gen = np.random.default_rng(4)
+    x = _sparse_x(gen, (30, 40), 60)
+    x[:, 5] = 0.0
+    x[2, 5] = 1.0
+    f, s = gen.random((30, 3)), gen.random((3, 40))
+    s[:, 5] = 0.0  # W.Z is 0 in column 5
+    for eps in (1e-300, 0.0):
+        term = objectives.TermValue(x, None, Loss.DIV, eps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, sparse = term.parts(term.product(f, s))
+            _, dense = _parts_dense_quotient(term, term.product(f, s))
+        if eps > 0:
+            assert sparse.tobytes() == dense.tobytes()
+            continue
+        # at eps = 0: W.X > 0 over W.Z = 0 is inf in both forms; 0/0 is NaN
+        # in the dense form and stays 0 in the sparse one
+        assert sparse[2, 5] == dense[2, 5] == np.inf
+        zero_over_zero = np.zeros_like(x, dtype=bool)
+        zero_over_zero[:, 5] = x[:, 5] == 0
+        assert np.all(np.isnan(dense[zero_over_zero])) and np.all(sparse[zero_over_zero] == 0)
+        assert sparse[~zero_over_zero].tobytes() == dense[~zero_over_zero].tobytes()
+
+
+def _text_shaped_system(seed):
+    """A 6%-dense TF-IDF-like x (terms x documents) with one-hot labels."""
+    gen = np.random.default_rng(seed)
+    x = _sparse_x(gen, (150, 180), round(0.06 * 150 * 180))
+    y = np.zeros((8, 180))
+    y[gen.integers(0, 8, 180), np.arange(180)] = 1.0
+    return x, y
+
+
+@pytest.mark.parametrize("masking", ["none", "binary"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sparse_text_fit_and_transform_equal_the_dense_form(variant, masking, monkeypatch):
+    x, y = _text_shaped_system(5)
+    w, l = MASKINGS[masking](x, y)
+    config = SsnmfConfig(r=5, lam=0.8, max_iters=20, seed=2)
+
+    def outputs():
+        result = fit(variant, x, y, config, w, l)
+        model = ClassifierModel(result.state.a, result.state.b, variant, config)
+        out = [result.state.a, result.state.b, result.state.s, result.objective_trace,
+               transform(model, x, w, iters=20)]
+        return [np.asarray(part).tobytes() for part in out]
+
+    now = outputs()
+    monkeypatch.setattr(objectives.TermValue, "parts", _parts_dense_quotient)
+    assert outputs() == now
+
+
 @pytest.mark.parametrize("bad", ["w", "l"])
 @pytest.mark.parametrize("path", ["mu_step", "gradient", "step_scale"])
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -354,6 +468,23 @@ def test_non_finite_closing_value_is_a_fit_error(monkeypatch):
         fit(ModelVariant.FRO_FRO, x, y, SsnmfConfig(r=2, max_iters=1))
 
 
+def test_fit_builds_one_term_pair_besides_the_start_value(monkeypatch):
+    real = objectives.TermValue.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    _, x, y = random_system(107)
+    monkeypatch.setattr(objectives.TermValue, "__init__", counted)
+    for max_iters in (1, 5):
+        built.clear()
+        fit(ModelVariant.DIV_FRO, x, y, SsnmfConfig(r=2, max_iters=max_iters))
+        # objective's pair for the start value, and fit's for every sweep
+        assert len(built) == 4
+
+
 @pytest.mark.parametrize("masking", list(MASKINGS))
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_mu_step_without_terms_scores_nothing(variant, masking, monkeypatch):
@@ -365,6 +496,10 @@ def test_mu_step_without_terms_scores_nothing(variant, masking, monkeypatch):
     monkeypatch.setattr(objectives.TermValue, "__call__", fail)
     out = mu_step(variant, state, x, y, w, l)
     assert out.objective is None
+    reused = mu_step(variant, state, x, y, w, l, reuse=solver._terms(variant, x, y, w, l, 1e-10))
+    assert reused.objective is None
+    for got, want in zip((reused.a, reused.b, reused.s), (out.a, out.b, out.s)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_accepts_explicit_init():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ssnmf import synth
+from dataclasses import replace
+
+from ssnmf import objectives, synth
 from ssnmf.exceptions import ConfigError, FitError
-from ssnmf.objectives import ModelVariant
+from ssnmf.objectives import VARIANTS, ModelVariant
 
 
 def test_gen_factors_shapes_and_support():
@@ -137,6 +139,22 @@ def tiny_spec(experiment=1):
         experiment=experiment, n1=12, n2=12, k=12, r=2,
         density=0.5, max_iters=40, trials=2, seed=0,
     )
+
+
+def test_trial_builds_one_term_pair_per_variant(monkeypatch):
+    real = objectives.TermValue.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(objectives.TermValue, "__init__", counted)
+    for max_iters in (1, 9):
+        built.clear()
+        synth._trial_column(replace(tiny_spec(4), max_iters=max_iters), 0)
+        # the base score's pair, then per variant the sweeps' pair and the final score's
+        assert len(built) == 2 + 2 * 2 * len(VARIANTS)
 
 
 def test_benchmark_smoke_and_determinism():
