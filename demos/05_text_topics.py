@@ -68,12 +68,9 @@ def main():
     acc = accuracy(y_te, predict(model, s_te))
     print(f"test accuracy with {variant.key}: {acc:.2f}\n")
 
-    keywords = evalcluster.top_keywords(model.a_train, vocab, count=5)
-    m_true = one_hot(test_part.class_ids(), k)
-    hard = evalcluster.hard_assign(s_te)
-    for i, words in enumerate(keywords):
-        group, p = evalcluster.topic_score(hard[i], m_true)
-        print(f"topic {i} -> {names[group]:<8} P={p:.2f}  {' '.join(words)}")
+    report = evalcluster.topic_report(model.a_train, s_te, y_te, vocab, count=5,
+                                      group_names=names)
+    print(report.to_text())
 
 
 if __name__ == "__main__":

@@ -93,7 +93,6 @@ OPTIONS = {
     },
     "prep": {
         "input": (str, None, "corpus directory tree or JSONL file"),
-        "format": (("auto", "tree", "jsonl"), "auto", None),
         "min_df": (int, 5, None),
         "max_df_ratio": (float, 0.7, None),
         "max_size": (int, 5000, None),
@@ -336,10 +335,7 @@ def cmd_prep(args) -> int:
     path = opts["input"]
     if not os.path.exists(path):
         raise ParseError(f"input not found: {path}")
-    fmt = opts["format"]
-    if fmt == "auto":
-        fmt = "tree" if os.path.isdir(path) else "jsonl"
-    load = textprep.load_corpus_tree if fmt == "tree" else textprep.load_corpus_jsonl
+    load = textprep.load_corpus_tree if os.path.isdir(path) else textprep.load_corpus_jsonl
     corpus = load(path, strip=not opts["no_strip"])
     ratios = (opts["train_ratio"], opts["val_ratio"], opts["test_ratio"])
     train, val, test = textprep.split(

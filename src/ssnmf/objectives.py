@@ -85,7 +85,8 @@ SPARSE_QUOTIENT_DENSITY = 0.15
 
 class TermValue:
     """One fit term loss(W.X || W.Z) with Z = f @ s: its masked product, its
-    gradient split and its error, the one place where loss and mask differ.
+    gradient split, each update's numerator and denominator and its error,
+    the one place where loss and mask differ.
 
     W.X is built once. The first score builds a buffer. For the divergence,
     the first score, or the first gradient split of a sparse W.X, builds the
@@ -172,6 +173,21 @@ class TermValue:
         bp = self._gather(wz)
         self._quotient.ravel()[self.positions] = np.divide(self.values, bp, out=bp)
         return self.mask, self._quotient
+
+    def for_factor(self, f, s, scored=False):
+        """Numerator neg @ s.T and denominator pos @ s.T (the row sums of s for
+        an all-ones pos) of f's update with s fixed, and the term's error at
+        (f, s) when scored (None otherwise), all from one product W.(f @ s)."""
+        wz = self.product(f, s)
+        value = self(wz) if scored else None
+        pos, neg = self.parts(wz)
+        return neg @ s.T, s.sum(axis=1)[None, :] if pos is None else pos @ s.T, value
+
+    def for_codes(self, f, s):
+        """Numerator f.T @ neg and denominator f.T @ pos (the column sums of f
+        for an all-ones pos) of the codes' update with f fixed."""
+        pos, neg = self.parts(self.product(f, s))
+        return f.T @ neg, f.sum(axis=0)[:, None] if pos is None else f.T @ pos
 
     def __call__(self, wz) -> float:
         """The term's error at the masked product wz = W.Z, which is left as it is."""

@@ -130,11 +130,6 @@ def initialize(n1: int, n2: int, k: int, config: SsnmfConfig) -> FactorState:
     return _draw_factors(substream(config.seed, "init"), n1, n2, k, config.r)
 
 
-def _ratio(num, den, eps):
-    # symmetric guard: zero-signal updates become exact no-ops
-    return (num + eps) / (den + eps)
-
-
 # Smallest magnitude a factor entry may keep. Multiplicative decay toward an
 # unneeded entry otherwise walks through the subnormal float range, where
 # hardware arithmetic is an order of magnitude slower. Entries at the floor
@@ -147,42 +142,27 @@ def _apply_floor(f):
     return f
 
 
-def _times_st(part, s):
-    """part @ s.T, with None (all ones) as the row sums of s."""
-    return s.sum(axis=1)[None, :] if part is None else part @ s.T
-
-
-def _ft_times(f, part):
-    """f.T @ part, with None (all ones) as the column sums of f."""
-    return f.sum(axis=0)[:, None] if part is None else f.T @ part
-
-
 def _terms(variant, x, y, w, l, eps):
     """The (reconstruction, supervision) objectives.TermValue pair of a system."""
     return (TermValue(x, w, variant.reconstruction, eps),
             TermValue(y, l, variant.supervision, eps))
 
 
-def _update_dictionary(f, s, term, eps, scored):
-    """One multiplicative update of a dictionary factor (A or B), s held fixed,
-    and the term's error at (f, s), scored from the update's own product
-    when scored (None otherwise)."""
-    wz = term.product(f, s)
-    value = term(wz) if scored else None
-    pos, neg = term.parts(wz)
-    return _apply_floor(f * _ratio(_times_st(neg, s), _times_st(pos, s), eps)), value
+def _update(f, num, den, eps):
+    """One multiplicative update: f times (num + eps) / (den + eps), floored."""
+    return _apply_floor(f * ((num + eps) / (den + eps)))
 
 
 def _update_codes(s, weighted, eps):
     """One multiplicative update of the codes S under the fit terms in
     weighted, (f, term, weight) each with its factor f held fixed: numerator
-    and denominator sum weight * f.T @ part over the terms."""
+    and denominator sum weight times the term's for_codes over the terms."""
     num = den = None
     for f, term, weight in weighted:
-        pos, neg = term.parts(term.product(f, s))
-        n, d = weight * _ft_times(f, neg), weight * _ft_times(f, pos)
+        n, d = term.for_codes(f, s)
+        n, d = weight * n, weight * d
         num, den = (n, d) if num is None else (num + n, den + d)
-    return _apply_floor(s * _ratio(num, den, eps))
+    return _update(s, num, den, eps)
 
 
 def mu_step(
@@ -210,8 +190,10 @@ def mu_step(
     scored = terms is not None
     pair = terms if scored else reuse
     rec, sup = pair if pair is not None else _terms(variant, x, y, w, l, eps)
-    a, rec_value = _update_dictionary(state.a, state.s, rec, eps, scored)
-    b, sup_value = _update_dictionary(state.b, state.s, sup, eps, scored)
+    num, den, rec_value = rec.for_factor(state.a, state.s, scored)
+    a = _update(state.a, num, den, eps)
+    num, den, sup_value = sup.for_factor(state.b, state.s, scored)
+    b = _update(state.b, num, den, eps)
     # the S update weighs each term by its gradient factor; the factors
     # cancel only when both terms share a loss
     cr, cs = (1.0, 1.0) if rec.loss is sup.loss else (rec.grad_factor, sup.grad_factor)
@@ -226,6 +208,18 @@ def _check_system(x, y, w, l):
     if y.shape[1] != x.shape[1]:
         raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
     return x, y, matrix.as_mask(w, x, "w", "x"), matrix.as_mask(l, y, "l", "y")
+
+
+def _check_init(init, n1, n2, k, r):
+    """A copy of init, whose factors must be finite and nonnegative, with
+    shapes (n1, r), (k, r) and (r, n2)."""
+    state = init.copy()
+    for name, f, shape in (("A", state.a, (n1, r)), ("B", state.b, (k, r)),
+                           ("S", state.s, (r, n2))):
+        if f.shape != shape:
+            raise ShapeError(f"init {name} has shape {f.shape}, expected {shape}")
+        matrix.check_nonnegative(f, f"init {name}")
+    return state
 
 
 def tol_stop(value: float, start: float, tol: float) -> bool:
@@ -248,7 +242,8 @@ def fit(
     """Train the variant on (x, y) and return factors plus the objective trace.
 
     config.r above min(n1, n2) for the n1 x n2 x is a ConfigError, raised
-    before any factor is drawn.
+    before any factor is drawn. An init factor of the wrong shape, or with a
+    negative or non-finite entry, is a ShapeError naming it.
 
     The trace has one entry per sweep plus the value before the first sweep.
     Stops early at the first sweep where tol_stop(trace[-1], trace[0],
@@ -269,7 +264,10 @@ def fit(
     n1, n2 = x.shape
     k = y.shape[0]
     _check_rank(config.r, n1, n2)
-    state = init.copy() if init is not None else initialize(n1, n2, k, config)
+    if init is None:
+        state = initialize(n1, n2, k, config)
+    else:
+        state = _check_init(init, n1, n2, k, config.r)
     trace = []
 
     def record(state, value):
@@ -299,6 +297,21 @@ def fit(
     return FitResult.from_trace(variant, config, state, trace)
 
 
+def _descent(variant, state, x, y, w, l, lam, eps):
+    """gradient's (dA, dB, dS) and step_scale's (Ga, Gb, Gs), from one pass
+    over the term pair: each term's gradient in a factor is its weight c
+    times the update's denominator minus its numerator."""
+    grads, scales, ds, den = [], [], 0.0, 0.0
+    for f, term, weight in zip((state.a, state.b), _terms(variant, x, y, w, l, eps), (1.0, lam)):
+        num, f_den, _ = term.for_factor(f, state.s)
+        s_num, s_den = term.for_codes(f, state.s)
+        c = term.grad_factor * weight
+        grads.append(c * (f_den - num))
+        scales.append(f / (c * f_den + eps))
+        ds, den = ds + c * (s_den - s_num), den + c * s_den
+    return (*grads, ds), (*scales, state.s / (den + eps))
+
+
 def gradient(
     variant: ModelVariant,
     state: FactorState,
@@ -313,15 +326,7 @@ def gradient(
 
     Divergence quotients are eps-guarded and never raise.
     """
-    s = state.s
-    grads = []
-    ds = 0.0
-    for f, term, weight in zip((state.a, state.b), _terms(variant, x, y, w, l, eps), (1.0, lam)):
-        pos, neg = term.parts(term.product(f, s))
-        c = term.grad_factor * weight
-        grads.append(c * (_times_st(pos, s) - _times_st(neg, s)))
-        ds = ds + c * (_ft_times(f, pos) - _ft_times(f, neg))
-    return grads[0], grads[1], ds
+    return _descent(variant, state, x, y, w, l, lam, eps)[0]
 
 
 def step_scale(
@@ -339,12 +344,4 @@ def step_scale(
     Each multiplicative update equals factor - G . grad for these scales (up
     to the eps ratio guard), which is what makes the sweep a descent scheme.
     """
-    s = state.s
-    scales = []
-    den = 0.0
-    for f, term, weight in zip((state.a, state.b), _terms(variant, x, y, w, l, eps), (1.0, lam)):
-        pos, _ = term.parts(term.product(f, s))
-        c = term.grad_factor * weight
-        scales.append(f / (c * _times_st(pos, s) + eps))
-        den = den + c * _ft_times(f, pos)
-    return scales[0], scales[1], s / (den + eps)
+    return _descent(variant, state, x, y, w, l, lam, eps)[1]

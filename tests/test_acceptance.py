@@ -171,6 +171,7 @@ def test_criterion_3_gradients_and_scaled_descent_identity():
 
 # ------------------------------------------------------------- criterion 4
 
+@pytest.mark.slow
 def test_criterion_4_noise_matched_variant_wins_each_experiment():
     # The paper's size, 500x500 with k=500. At 100x100 the ranking is set by
     # the eps guard rather than the estimator: the divergence fits, as Poisson
@@ -209,6 +210,7 @@ def test_criterion_4_noise_matched_variant_wins_each_experiment():
     )
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not os.environ.get("SSNMF_FULL_SCALE"),
                     reason="hours-long full-scale benchmark; set "
                            "SSNMF_FULL_SCALE=1 to run")

@@ -502,6 +502,44 @@ def test_mu_step_without_terms_scores_nothing(variant, masking, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+class _SeamTerm:
+    """A fit term that offers solver only its loss, gradient factor and the
+    two update contractions, each delegated to a real TermValue."""
+
+    def __init__(self, *args):
+        self._real = objectives.TermValue(*args)
+        self.loss = self._real.loss
+        self.grad_factor = self._real.grad_factor
+
+    def for_factor(self, f, s, scored=False):
+        return self._real.for_factor(f, s, scored)
+
+    def for_codes(self, f, s):
+        return self._real.for_codes(f, s)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"solver asked a fit term for {name}")
+
+
+@pytest.mark.parametrize("masking", list(MASKINGS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solver_asks_a_term_only_for_its_update_contractions(variant, masking, monkeypatch):
+    state, x, y = random_system(109)
+    w, l = MASKINGS[masking](x, y)
+    args = (variant, state, x, y, w, l, 0.8, 1e-10)
+
+    def outputs():
+        scored = mu_step(*args, terms=solver._terms(variant, x, y, w, l, 1e-10))
+        plain = mu_step(*args)
+        out = [scored.a, scored.b, scored.s, [scored.objective], plain.a, plain.b, plain.s,
+               *gradient(*args), *step_scale(*args)]
+        return [np.asarray(part).tobytes() for part in out]
+
+    real = outputs()
+    monkeypatch.setattr(solver, "TermValue", _SeamTerm)
+    assert outputs() == real
+
+
 def test_fit_accepts_explicit_init():
     state, x, y = random_system(53)
     cfg = SsnmfConfig(r=2, max_iters=5, seed=0)
@@ -509,6 +547,34 @@ def test_fit_accepts_explicit_init():
     spec = ObjectiveSpec(ModelVariant.FRO_FRO, cfg.lam)
     start = objective(spec, state.a, state.b, state.s, x, y)
     assert result.objective_trace[0] == pytest.approx(start)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "S"])
+def test_fit_rejects_an_init_factor_of_the_wrong_shape(name):
+    # a rank-3 init under r=2 once ran at rank 3 while result.config.r read 2
+    state, x, y = random_system(61)
+    wide, _, _ = random_system(61, r=3)
+    setattr(state, name.lower(), getattr(wide, name.lower()))
+    with pytest.raises(ShapeError, match=f"^init {name} has shape"):
+        fit(ModelVariant.FRO_FRO, x, y, SsnmfConfig(r=2, max_iters=3), init=state)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_rejects_a_negative_init_entry(variant):
+    # fro-fro once fitted from it, and div-div raised a bare ValueError
+    state, x, y = random_system(67)
+    state.a[1, 1] = -0.5
+    with pytest.raises(ShapeError, match=r"^init A must be .* found -0.5 at \(1, 1\)$"):
+        fit(variant, x, y, SsnmfConfig(r=2, max_iters=3), init=state)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_fit_rejects_a_non_finite_init_entry(value):
+    # at the boundary, not as a FitError at initialization
+    state, x, y = random_system(71)
+    state.s[0, 2] = value
+    with pytest.raises(ShapeError, match=f"^init S must be entrywise finite .* found {value}"):
+        fit(ModelVariant.DIV_FRO, x, y, SsnmfConfig(r=2, max_iters=3), init=state)
 
 
 def test_fit_rejects_infinite_start():
