@@ -88,6 +88,12 @@ class TermValue:
     gradient split, each update's numerator and denominator and its error,
     the one place where loss and mask differ.
 
+    An unmasked Frobenius term (gram) takes its update denominators in Gram
+    form, f @ (s @ s.T) and (f.T @ f) @ s, which never form the n1 x n2
+    product Z: for every r <= min(n1, n2) that is less work than (f @ s) @ s.T
+    and f.T @ (f @ s), and the two agree to rounding, since every summand is
+    nonnegative. Masked terms and divergence terms form W.Z.
+
     W.X is built once. The first score builds a buffer. For the divergence,
     the first score, or the first gradient split of a sparse W.X, builds the
     flat positions of W.X's nonzero entries, their values and its sum
@@ -108,6 +114,7 @@ class TermValue:
         self.eps = eps
         # the squared Frobenius residual brings a 2 the divergence lacks
         self.grad_factor = 2.0 if loss is Loss.FRO else 1.0
+        self.gram = loss is Loss.FRO and mask is None
         self._scratch = self.positions = self._quotient = self._sparse = None
 
     def product(self, f, s):
@@ -177,7 +184,14 @@ class TermValue:
     def for_factor(self, f, s, scored=False):
         """Numerator neg @ s.T and denominator pos @ s.T (the row sums of s for
         an all-ones pos) of f's update with s fixed, and the term's error at
-        (f, s) when scored (None otherwise), all from one product W.(f @ s)."""
+        (f, s) when scored (None otherwise), all from one product W.(f @ s).
+
+        A gram term returns X @ s.T and f @ (s @ s.T) instead, and forms
+        f @ s only when scored, to score it; its denominator is the same
+        whether scored or not, so a scored sweep steps as an unscored one."""
+        if self.gram:
+            value = self(self.product(f, s)) if scored else None
+            return self.wx @ s.T, f @ (s @ s.T), value
         wz = self.product(f, s)
         value = self(wz) if scored else None
         pos, neg = self.parts(wz)
@@ -185,7 +199,10 @@ class TermValue:
 
     def for_codes(self, f, s):
         """Numerator f.T @ neg and denominator f.T @ pos (the column sums of f
-        for an all-ones pos) of the codes' update with f fixed."""
+        for an all-ones pos) of the codes' update with f fixed; for a gram
+        term, f.T @ X and (f.T @ f) @ s, with no product f @ s."""
+        if self.gram:
+            return f.T @ self.wx, (f.T @ f) @ s
         pos, neg = self.parts(self.product(f, s))
         return f.T @ neg, f.sum(axis=0)[:, None] if pos is None else f.T @ pos
 

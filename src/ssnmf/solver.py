@@ -160,7 +160,8 @@ def _update_codes(s, weighted, eps):
     num = den = None
     for f, term, weight in weighted:
         n, d = term.for_codes(f, s)
-        n, d = weight * n, weight * d
+        if weight != 1.0:
+            n, d = weight * n, weight * d
         num, den = (n, d) if num is None else (num + n, den + d)
     return _update(s, num, den, eps)
 

@@ -276,6 +276,116 @@ def test_sparse_text_fit_and_transform_equal_the_dense_form(variant, masking, mo
     assert outputs() == now
 
 
+def _direct_for_factor(term, f, s, scored=False):
+    """TermValue.for_factor with every denominator formed from the product
+    W.(f @ s), kept as the reference for the Gram form."""
+    wz = term.product(f, s)
+    value = term(wz) if scored else None
+    pos, neg = term.parts(wz)
+    return neg @ s.T, s.sum(axis=1)[None, :] if pos is None else pos @ s.T, value
+
+
+def _direct_for_codes(term, f, s):
+    """TermValue.for_codes in the same direct form."""
+    pos, neg = term.parts(term.product(f, s))
+    return f.T @ neg, f.sum(axis=0)[:, None] if pos is None else f.T @ pos
+
+
+def _no_product(self, f, s):
+    raise AssertionError("the term formed f @ s")
+
+
+def test_gram_updates_form_no_product(monkeypatch):
+    state, x, y = random_system(113)
+    w, _ = MASKINGS["binary"](x, y)
+    monkeypatch.setattr(objectives.TermValue, "product", _no_product)
+    gram = objectives.TermValue(x, None, Loss.FRO, 1e-10)
+    gram.for_factor(state.a, state.s)
+    gram.for_codes(state.a, state.s)
+    # scoring needs the product
+    with pytest.raises(AssertionError, match="formed f @ s"):
+        gram.for_factor(state.a, state.s, scored=True)
+    for mask, loss in ((w, Loss.FRO), (None, Loss.DIV), (w, Loss.DIV)):
+        term = objectives.TermValue(x, mask, loss, 1e-10)
+        with pytest.raises(AssertionError, match="formed f @ s"):
+            term.for_factor(state.a, state.s)
+        with pytest.raises(AssertionError, match="formed f @ s"):
+            term.for_codes(state.a, state.s)
+
+
+def test_unmasked_fro_fro_sweeps_and_fro_transform_form_no_product(monkeypatch):
+    state, x, y = random_system(127)
+    monkeypatch.setattr(objectives.TermValue, "product", _no_product)
+    mu_step(ModelVariant.FRO_FRO, state, x, y, lam=0.8)
+    gradient(ModelVariant.FRO_FRO, state, x, y, lam=0.8)
+    step_scale(ModelVariant.FRO_FRO, state, x, y, lam=0.8)
+    for variant in (ModelVariant.FRO_FRO, ModelVariant.FRO_DIV):
+        _transform_codes(variant, state, x, y, None, None)
+
+
+# Relative bound on the Gram form's gap to the direct form. Each denominator
+# entry is a sum of at most n2 + r nonnegative products in either form, so
+# the two differ by rounding only: at most 1.5e-15 over this catalogue
+# (numpy 2.4, OpenBLAS). A wrong contraction would differ by order one.
+GRAM_RTOL = 1e-12
+GRAM_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 3), (5, 5), (9, 4), (13, 30), (60, 70)]
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.5])
+@pytest.mark.parametrize("n1,n2", GRAM_SHAPES)
+def test_gram_form_matches_the_direct_form(n1, n2, eps, monkeypatch):
+    gen = np.random.default_rng(n1 * 100 + n2)
+    k = 4
+    x = gen.random((n1, n2)) * (gen.random((n1, n2)) > 0.2)
+    y = gen.random((k, n2)) * 2.0
+    for r in range(1, min(n1, n2) + 1):
+        state = FactorState(gen.random((n1, r)) + 0.01, gen.random((k, r)) + 0.01,
+                            gen.random((r, n2)) + 0.01)
+        term = objectives.TermValue(x, None, Loss.FRO, eps)
+        for scored in (False, True):
+            num, den, value = term.for_factor(state.a, state.s, scored)
+            want_num, want_den, want_value = _direct_for_factor(term, state.a, state.s, scored)
+            assert num.tobytes() == want_num.tobytes()
+            assert np.allclose(den, want_den, rtol=GRAM_RTOL, atol=0)
+            assert value == want_value
+        # a scored sweep steps as an unscored one
+        assert den.tobytes() == term.for_factor(state.a, state.s)[1].tobytes()
+        num, den = term.for_codes(state.a, state.s)
+        want_num, want_den = _direct_for_codes(term, state.a, state.s)
+        assert num.tobytes() == want_num.tobytes()
+        assert np.allclose(den, want_den, rtol=GRAM_RTOL, atol=0)
+
+        for variant in VARIANTS:
+            for masking in ("none", "binary"):
+                w, l = MASKINGS[masking](x, y)
+                args = (variant, state, x, y, w, l, 0.8, eps)
+
+                def outputs():
+                    step = mu_step(*args)
+                    return (step.a, step.b, step.s), gradient(*args), step_scale(*args)
+
+                got = outputs()
+                with monkeypatch.context() as patch:
+                    patch.setattr(objectives.TermValue, "for_factor", _direct_for_factor)
+                    patch.setattr(objectives.TermValue, "for_codes", _direct_for_codes)
+                    want = outputs()
+                (got_step, got_grad, got_scale), (want_step, want_grad, want_scale) = got, want
+                if masking == "binary" or variant is ModelVariant.DIV_DIV:
+                    # no unmasked Frobenius term: the same code runs
+                    for g, m in zip(got_step + got_grad + got_scale,
+                                    want_step + want_grad + want_scale):
+                        assert g.tobytes() == m.tobytes()
+                    continue
+                for g, m in zip(got_step + got_scale, want_step + want_scale):
+                    assert np.allclose(g, m, rtol=GRAM_RTOL, atol=0)
+                # a gradient is c * (den - num), which may cancel; its gap is
+                # bounded by the denominator's, and step_scale's G = f /
+                # (c * den + eps) gives c * den + eps = f / G
+                for g, m, f, scale in zip(got_grad, want_grad, (state.a, state.b, state.s),
+                                          want_scale):
+                    assert np.all(np.abs(g - m) <= GRAM_RTOL * f / scale)
+
+
 @pytest.mark.parametrize("bad", ["w", "l"])
 @pytest.mark.parametrize("path", ["mu_step", "gradient", "step_scale"])
 @pytest.mark.parametrize("variant", VARIANTS)
