@@ -87,8 +87,8 @@ OPTIONS = {
         "lam": (float, 1.0, None),
         "max_iters": (int, 20000, None),
         "trials": (int, 5, None),
-        "workers": (int, 1, "processes that run the (experiment, trial) jobs; with more "
-                            "than 1, set OPENBLAS_NUM_THREADS=1"),
+        "workers": (int, None, "processes for the (experiment, trial) jobs; default: usable "
+                               "CPUs // BLAS threads per process, so 1 with BLAS unpinned"),
         **_EPS, **_SEED, **_OUT_DIR,
     },
     "prep": {

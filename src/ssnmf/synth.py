@@ -22,6 +22,7 @@ that weight is 2*var_x = 1/r for fro-div and 1/(2*var_y) = r for div-fro
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -240,22 +241,40 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
     return errors
 
 
+def _usable_cpus() -> int:
+    has_affinity = hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
+
+
+def default_workers() -> int:
+    """Usable CPUs // BLAS threads per process, at least 1: numpy's OpenBLAS
+    takes OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "").strip()
+        if threads.isdecimal() and int(threads) > 0:
+            return max(1, _usable_cpus() // int(threads))
+    return 1
+
+
 def run_benchmark(
     base: ExperimentSpec,
     experiments: Sequence[int] = EXPERIMENT_IDS,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ErrorGrid:
     """Every trial of every experiment, with base's knobs. Each (experiment,
-    trial) job draws from its own substreams, so workers = 1 (in this process)
-    and a pool of min(workers, jobs) processes give the same grid bit for bit.
+    trial) job draws from its own substreams, so running them here or in a
+    pool of min(workers, jobs, usable CPUs) processes gives the same grid bit
+    for bit. workers defaults to default_workers().
     """
+    workers = default_workers() if workers is None else workers
     if not workers >= 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = [(replace(base, experiment=e), t) for e in experiments for t in range(base.trials)]
-    if workers == 1:
+    processes = min(workers, len(jobs), _usable_cpus())
+    if processes <= 1:
         columns = [_trial_column(spec, t) for spec, t in jobs]
     else:
-        with ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(processes) as pool:
             columns = list(pool.map(_trial_column, *zip(*jobs)))
     # jobs run experiment-major; per_trial is trials x variants x experiments
     per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)

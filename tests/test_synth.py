@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,85 @@ def test_parallel_jobs_match_serial_bit_for_bit():
     parallel = synth.run_benchmark(tiny_spec(), (1, 3), workers=3)
     assert serial.per_trial.tobytes() == parallel.per_trial.tobytes()
     assert serial.means.tobytes() == parallel.means.tobytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stands a recorder in for the process pool on a 4-CPU machine: each
+    pool's max_workers is appended, and its jobs run in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 4)
+    return sizes
+
+
+def test_one_job_runs_in_process_whatever_the_workers(pool_sizes):
+    one_job = replace(tiny_spec(), trials=1)
+    pooled = synth.run_benchmark(one_job, (1,), workers=3)
+    serial = synth.run_benchmark(one_job, (1,), workers=1)
+    assert pool_sizes == []
+    assert pooled.per_trial.tobytes() == serial.per_trial.tobytes()
+
+
+def test_pool_is_no_larger_than_the_jobs_or_the_cpus(pool_sizes, monkeypatch):
+    monkeypatch.setattr(synth, "_trial_column", lambda spec, trial: np.zeros(len(VARIANTS)))
+    synth.run_benchmark(replace(tiny_spec(), trials=2), (1,), workers=3)
+    synth.run_benchmark(replace(tiny_spec(), trials=100000), (1,), workers=100000)
+    assert pool_sizes == [2, 4]
+
+
+def test_unpinned_blas_runs_the_jobs_in_process(pool_sizes, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    synth.run_benchmark(tiny_spec(), (1, 3))
+    assert pool_sizes == []
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    synth.run_benchmark(tiny_spec(), (1, 3))
+    assert pool_sizes == [4]
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "-2"}, 8, 1),
+    ({"OMP_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 8),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 2),
+])
+def test_default_workers_is_usable_cpus_over_blas_threads(monkeypatch, env, cpus, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+    assert synth.default_workers() == expected
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert synth._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert synth._usable_cpus() == 3
 
 
 def test_benchmark_rejects_fewer_than_one_worker():
