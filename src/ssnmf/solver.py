@@ -138,9 +138,7 @@ FACTOR_FLOOR = 1e-100
 
 
 def _apply_floor(f):
-    # a NaN fails the test and takes the masked maximum: the same bytes either way
-    if not f.min(initial=np.inf) >= FACTOR_FLOOR:
-        np.maximum(f, FACTOR_FLOOR, out=f, where=f != 0.0)
+    np.maximum(f, FACTOR_FLOOR, out=f, where=f != 0.0)
     return f
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -248,12 +250,27 @@ def _usable_cpus() -> int:
 
 def default_workers() -> int:
     """Usable CPUs // BLAS threads per process, at least 1: numpy's OpenBLAS
-    takes OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU."""
+    takes OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU.
+    OpenBLAS reads them once, when numpy is imported, so they must be set
+    before that; an MKL-built numpy ignores OPENBLAS_NUM_THREADS."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         threads = os.environ.get(var, "").strip()
         if threads.isdecimal() and int(threads) > 0:
             return max(1, _usable_cpus() // int(threads))
     return 1
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: ends this worker once its parent is gone, which the
+    pool's own queues never notice when the parent is killed."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def run_benchmark(
@@ -274,7 +291,7 @@ def run_benchmark(
     if processes <= 1:
         columns = [_trial_column(spec, t) for spec, t in jobs]
     else:
-        with ProcessPoolExecutor(processes) as pool:
+        with ProcessPoolExecutor(processes, initializer=_exit_with_parent) as pool:
             columns = list(pool.map(_trial_column, *zip(*jobs)))
     # jobs run experiment-major; per_trial is trials x variants x experiments
     per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)

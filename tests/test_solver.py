@@ -424,12 +424,6 @@ def test_apply_floor_lifts_tiny_keeps_zero():
     assert out[0, 0] == 0.0
     assert out[0, 1] == FACTOR_FLOOR
     assert out[0, 2] == 0.5
-    # all-above-floor rows skip the masked maximum, the rest take it: same bytes
-    for row in ([np.nan, 0.5, 1e-300], [0.5, np.nan], [np.inf, 0.5, 1e-300], [np.inf, 0.5],
-                [-0.0, 0.5, 1e-300], [5e-324, 0.5], [FACTOR_FLOOR, 0.5, 2.0], [0.3, 0.5, 2.0]):
-        f = np.array([row])
-        expected = np.maximum(f, FACTOR_FLOOR, out=f.copy(), where=f != 0.0)
-        assert _apply_floor(f).tobytes() == expected.tobytes(), row
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

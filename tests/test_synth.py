@@ -1,4 +1,7 @@
 import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,10 +173,11 @@ def test_benchmark_smoke_and_determinism():
     assert grid1.means[:, 0] == pytest.approx(grid1.per_trial[:, :, 0].mean(axis=0))
 
 
-def test_parallel_jobs_match_serial_bit_for_bit():
+def test_parallel_jobs_match_serial_bit_for_bit(real_pool_sizes):
     # three workers for 2 experiments x 2 trials: more workers than trials
     serial = synth.run_benchmark(tiny_spec(), (1, 3), workers=1)
     parallel = synth.run_benchmark(tiny_spec(), (1, 3), workers=3)
+    assert real_pool_sizes == [2]
     assert serial.per_trial.tobytes() == parallel.per_trial.tobytes()
     assert serial.means.tobytes() == parallel.means.tobytes()
 
@@ -185,7 +189,9 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            # every pool's workers watch for their parent's end
+            assert initializer is synth._exit_with_parent
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -255,6 +261,31 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert synth._usable_cpus() == 3
+
+
+WORKER_OF_A_PARENT = """
+import os, time
+from concurrent.futures import ProcessPoolExecutor
+from ssnmf import synth
+pool = ProcessPoolExecutor(1, initializer=synth._exit_with_parent)
+print(pool.submit(os.getpid).result(), flush=True)
+pool.submit(time.sleep, 600)
+time.sleep(600)
+"""
+
+
+def test_pool_worker_exits_when_its_parent_is_killed():
+    parent = subprocess.Popen([sys.executable, "-c", WORKER_OF_A_PARENT],
+                              stdout=subprocess.PIPE, text=True)
+    worker = int(parent.stdout.readline())
+    parent.kill()
+    try:
+        # the worker holds its parent's stdout open until it exits
+        parent.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.kill(worker, signal.SIGKILL)
+        parent.communicate()
+        pytest.fail(f"pool worker {worker} outlived its killed parent")
 
 
 def test_benchmark_rejects_fewer_than_one_worker():
