@@ -68,9 +68,11 @@ def main():
     acc = accuracy(y_te, predict(model, s_te))
     print(f"test accuracy with {variant.key}: {acc:.2f}\n")
 
-    report = evalcluster.topic_report(model.a_train, s_te, y_te, vocab, count=5,
-                                      group_names=names)
-    print(report.to_text())
+    keywords = evalcluster.top_keywords(model.a_train, vocab, count=5)
+    hard = evalcluster.hard_assign(s_te)
+    for i, words in enumerate(keywords):
+        group, p = evalcluster.topic_score(hard[i], y_te)
+        print(f"topic {i:>3}  group {names[group]}  P={p:.4f}  {' '.join(words)}")
 
 
 if __name__ == "__main__":

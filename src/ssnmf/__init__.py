@@ -52,8 +52,6 @@ from .synth import (
     gen_factors,
     gen_separable,
     run_benchmark,
-    sample_gaussian,
-    sample_poisson,
 )
 
 __version__ = "0.1.0"
@@ -90,8 +88,6 @@ __all__ = [
     "objective",
     "predict",
     "run_benchmark",
-    "sample_gaussian",
-    "sample_poisson",
     "save_model",
     "step_scale",
     "train",

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import matrix
-from .exceptions import FitError, ParseError, ShapeError
+from .exceptions import ConfigError, FitError, ParseError, ShapeError
 from .objectives import ModelVariant, TermValue
 from .rng import substream
-from .solver import FitResult, SsnmfConfig, _update_codes, fit, tol_stop
+from .solver import FitResult, SsnmfConfig, _config_value, _uniform, _update_codes, fit, tol_stop
 
 DEFAULT_TRANSFORM_ITERS = 200
 
@@ -31,10 +31,6 @@ class ClassifierModel:
     b_train: np.ndarray
     variant: ModelVariant
     config: SsnmfConfig
-
-    @property
-    def r(self) -> int:
-        return self.a_train.shape[1]
 
 
 def train(
@@ -123,8 +119,7 @@ def transform(
         )
     w_test = matrix.as_mask(w_test, x_test, "w_test", "x_test")
     eps = model.config.eps
-    gen = substream(model.config.seed, "transform")
-    s = gen.random((a.shape[1], x_test.shape[1])) + 0.01
+    s = _uniform(substream(model.config.seed, "transform"), (a.shape[1], x_test.shape[1]))
     weighted = [(a, TermValue(x_test, w_test, model.variant.reconstruction, eps), 1.0)]
     # a non-finite entry stays non-finite, so one check after the loop is enough
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,13 +172,16 @@ def load_model(model_dir) -> ClassifierModel:
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
     try:
-        config = SsnmfConfig(**{f.name: manifest[f.name] for f in fields(SsnmfConfig)})
+        values = {name: _config_value(name, kind, manifest[name])
+                  for name, kind in get_type_hints(SsnmfConfig).items()}
         variant = ModelVariant.parse(manifest["variant"])
     except KeyError as exc:
         raise ParseError(f"{path}: manifest has no {exc.args[0]!r} field") from None
+    except ConfigError as exc:
+        raise ParseError(f"{path}: manifest field {exc}") from None
     return ClassifierModel(
         a_train=matrix.read_csv(os.path.join(model_dir, "A.csv")),
         b_train=matrix.read_csv(os.path.join(model_dir, "B.csv")),
         variant=variant,
-        config=config,
+        config=SsnmfConfig(**values),
     )

@@ -32,7 +32,7 @@ from .exceptions import (
     ShapeError,
 )
 from .objectives import ModelVariant
-from .solver import SsnmfConfig, fit
+from .solver import SsnmfConfig, _config_value, fit
 
 GRID_TOLS = (1e-4, 1e-3, 1e-2)
 GRID_LAMBDAS = (10.0, 100.0, 1000.0)
@@ -118,24 +118,6 @@ OPTIONS = {
         **_OUT_DIR,
     },
 }
-
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
-
-
-def _config_value(key, kind, value):
-    """A config file value as its option's type. 2.0 is an integer; 2.7, true
-    and "2" are not, and no other JSON type stands in for a string or a bool."""
-    if isinstance(kind, tuple):
-        ok = isinstance(value, str) and value in kind
-    elif kind in (int, float):
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (kind is float or isinstance(value, int) or value.is_integer()))
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        want = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _KIND_NAMES[kind]
-        raise ConfigError(f"{key} must be {want}, got {value!r}")
-    return kind(value) if kind in (int, float) else value
 
 
 def _load_config_file(path) -> dict:

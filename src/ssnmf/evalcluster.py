@@ -11,7 +11,6 @@ of the best-matching group it captures:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,51 +94,3 @@ def top_keywords(a, vocab, count: int = 10) -> list:
         order = sorted(range(len(terms)), key=lambda i: (-a[i, c], terms[i]))
         result.append([terms[i] for i in order[:count]])
     return result
-
-
-@dataclass
-class TopicReport:
-    """Per topic: the best-matching group, its score, and top keywords."""
-
-    topics: list  # dicts: topic, group, score, keywords
-    mode: str
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "topics": self.topics}
-
-    def to_text(self) -> str:
-        lines = []
-        for t in self.topics:
-            group = t["group"] if t["group_name"] is None else t["group_name"]
-            lines.append(
-                f"topic {t['topic']:>3}  group {group}  "
-                f"P={t['score']:.4f}  {' '.join(t['keywords'])}"
-            )
-        return "\n".join(lines)
-
-    def save(self, path) -> None:
-        matrix.write_json(path, self.to_dict())
-
-
-def topic_report(
-    a,
-    s,
-    m,
-    vocab,
-    mode: str = "hard",
-    count: int = 10,
-    group_names=None,
-) -> TopicReport:
-    keywords = top_keywords(a, vocab, count)
-    s_hat = _assign(s, mode)
-    topics = []
-    for i in range(s_hat.shape[0]):
-        group, score = topic_score(s_hat[i], m)
-        topics.append({
-            "topic": i,
-            "group": group,
-            "group_name": None if group_names is None else group_names[group],
-            "score": score,
-            "keywords": keywords[i] if i < len(keywords) else [],
-        })
-    return TopicReport(topics=topics, mode=mode)

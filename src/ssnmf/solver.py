@@ -48,6 +48,25 @@ def _check_rank(r: int, n1: int, n2: int) -> None:
                           f"for {n1} x {n2} data, got {r}")
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _config_value(key, kind, value):
+    """A config file or manifest value as its option's type. 2.0 is an integer;
+    2.7, true and "2" are not; no other JSON type stands in for a string or a bool."""
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+    elif kind in (int, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        want = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _KIND_NAMES[kind]
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
+
+
 @dataclass(frozen=True)
 class SsnmfConfig:
     """Training knobs: factorization rank and loop controls.
@@ -117,12 +136,14 @@ class FitResult:
         matrix.write_csv(os.path.join(out_dir, "S.csv"), self.state.s)
 
 
+def _uniform(gen: np.random.Generator, shape) -> np.ndarray:
+    """Uniform [0.01, 1.01) entries from an explicit stream: fit's and transform's start."""
+    return gen.random(shape) + 0.01
+
+
 def _draw_factors(gen: np.random.Generator, n1: int, n2: int, k: int, r: int) -> FactorState:
     """Uniform [0.01, 1.01) factors from an explicit stream, drawn A, then B, then S."""
-    a = gen.random((n1, r)) + 0.01
-    b = gen.random((k, r)) + 0.01
-    s = gen.random((r, n2)) + 0.01
-    return FactorState(a, b, s)
+    return FactorState(_uniform(gen, (n1, r)), _uniform(gen, (k, r)), _uniform(gen, (r, n2)))
 
 
 def initialize(n1: int, n2: int, k: int, config: SsnmfConfig) -> FactorState:

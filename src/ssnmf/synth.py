@@ -142,14 +142,7 @@ def gen_factors(n1: int, n2: int, k: int, r: int, density: float, seed: int) -> 
 
 
 def _draw(noise: NoiseModel, mean, gen: np.random.Generator) -> np.ndarray:
-    """Entrywise draws around mean from an explicit stream; Gaussians clamp at 0."""
-    if noise.kind == "gaussian":
-        return np.maximum(gen.normal(loc=mean, scale=math.sqrt(noise.variance)), 0.0)
-    return gen.poisson(mean).astype(np.float64)
-
-
-def sample_gaussian(mean, variance: float, seed: int) -> np.ndarray:
-    """Entrywise N(mean, variance) draws, clamped at zero.
+    """Entrywise draws around mean from an explicit stream; Gaussians clamp at 0.
 
     Clamping keeps samples valid for the divergence models, but at the
     benchmark's means and variances it is not rare (measured at 100x100 and
@@ -159,16 +152,9 @@ def sample_gaussian(mean, variance: float, seed: int) -> np.ndarray:
     fro-fro is only approximately the MLE; this is why experiment 1's margin
     is the narrowest at most seeds (matched/best-other 0.961-0.994 at 500x500).
     """
-    noise = NoiseModel("gaussian", variance)
-    return _draw(noise, np.asarray(mean, dtype=np.float64), substream(seed, "gaussian"))
-
-
-def sample_poisson(mean, seed: int) -> np.ndarray:
-    """Entrywise Poisson draws with the given intensities (0 stays 0)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if np.any(mean < 0):
-        raise ConfigError("poisson intensities must be nonnegative")
-    return _draw(NoiseModel("poisson"), mean, substream(seed, "poisson"))
+    if noise.kind == "gaussian":
+        return np.maximum(gen.normal(loc=mean, scale=math.sqrt(noise.variance)), 0.0)
+    return gen.poisson(mean).astype(np.float64)
 
 
 @dataclass

@@ -44,9 +44,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def texts(self) -> list:
-        return [d.text for d in self.documents]
-
     def class_ids(self) -> np.ndarray:
         return np.array([d.class_id for d in self.documents], dtype=np.int64)
 
@@ -293,7 +290,8 @@ def load_corpus_tree(root, strip: bool = True) -> Corpus:
 
 
 def load_corpus_jsonl(path, strip: bool = True) -> Corpus:
-    """Read one JSON object per line with keys text, group, subgroup."""
+    """Read one JSON object per line whose keys text, group and subgroup are
+    strings. Any other non-blank line is a ParseError naming the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -304,9 +302,11 @@ def load_corpus_jsonl(path, strip: bool = True) -> Corpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            missing = [k for k in ("text", "group", "subgroup") if k not in obj]
-            if missing:
-                raise ParseError(f"{path}: line {lineno}: missing keys {missing}")
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}: line {lineno}: a record must be a JSON object")
+            bad = [k for k in ("text", "group", "subgroup") if not isinstance(obj.get(k), str)]
+            if bad:
+                raise ParseError(f"{path}: line {lineno}: keys missing or not strings: {bad}")
             records.append(obj)
     if not records:
         raise ParseError(f"{path}: no documents")

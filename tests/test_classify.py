@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -201,4 +202,21 @@ def test_load_model_missing_field_is_parse_error(tmp_path):
         classify.load_model(tmp_path)
     (tmp_path / "manifest.json").write_text("[1, 2]")
     with pytest.raises(ParseError, match="JSON object"):
+        classify.load_model(tmp_path)
+
+
+@pytest.mark.parametrize("field,value,want", [
+    ("r", "2", "r must be an integer, got '2'"),
+    ("r", 2.5, "r must be an integer, got 2.5"),
+    ("lam", None, "lam must be a number, got None"),
+])
+def test_load_model_field_of_wrong_type_is_parse_error(tmp_path, field, value, want):
+    model = classify.ClassifierModel(
+        np.ones((3, 2)), np.ones((2, 2)), ModelVariant.FRO_FRO, SsnmfConfig(r=2)
+    )
+    classify.save_model(model, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match=f"manifest field {re.escape(want)}$"):
         classify.load_model(tmp_path)

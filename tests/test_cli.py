@@ -724,6 +724,26 @@ def test_prep_size_below_one_exits_two(tmp_path, flag, value, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines,line,key", [
+    (["5"], 1, None),
+    (["null"], 1, None),
+    (['{"text": 5, "group": "g", "subgroup": "s"}'], 1, "text"),
+    (['{"text": "t", "group": ["a"], "subgroup": "s"}'], 1, "group"),
+    (['{"text": "t", "group": "x", "subgroup": "s"}',
+      '{"text": "t", "group": 1, "subgroup": "s"}'], 2, "group"),
+])
+def test_prep_malformed_jsonl_record_exits_two(tmp_path, capsys, lines, line, key):
+    path = tmp_path / "docs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["prep", "--input", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if key is not None:
+        assert repr(key) in err
+
+
 def test_prep_missing_input_exits_two(tmp_path, capsys):
     assert cli.main(["prep", "--input", str(tmp_path / "absent"),
                      "--out-dir", str(tmp_path / "out")]) == 2

@@ -107,23 +107,3 @@ def test_top_keywords_count_capped_at_vocab_size():
     a = np.array([[1.0], [2.0]])
     got = evalcluster.top_keywords(a, FakeVocab(["x", "y"]), count=10)
     assert got == [["y", "x"]]
-
-
-def test_topic_report_end_to_end(tmp_path):
-    s = np.eye(3)
-    m = np.eye(3)
-    a = np.array([[5.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 3.0]])
-    vocab = FakeVocab(["ant", "bee", "cow"])
-    report = evalcluster.topic_report(
-        a, s, m, vocab, mode="hard", count=1, group_names=["g0", "g1", "g2"]
-    )
-    assert report.mode == "hard"
-    assert [t["topic"] for t in report.topics] == [0, 1, 2]
-    assert [t["group_name"] for t in report.topics] == ["g0", "g1", "g2"]
-    assert [t["keywords"] for t in report.topics] == [["ant"], ["bee"], ["cow"]]
-    assert all(t["score"] == pytest.approx(1.0) for t in report.topics)
-    text = report.to_text()
-    assert "g1" in text and "bee" in text
-    out = tmp_path / "topics.json"
-    report.save(out)
-    assert out.exists()

@@ -11,6 +11,7 @@ from dataclasses import replace
 from ssnmf import objectives, synth
 from ssnmf.exceptions import ConfigError, FitError
 from ssnmf.objectives import VARIANTS, ModelVariant
+from ssnmf.rng import substream
 
 
 def test_gen_factors_shapes_and_support():
@@ -48,7 +49,7 @@ def test_gen_factors_rejects_bad_density():
 
 def test_gaussian_sample_moments():
     mean = np.full((250, 400), 4.0)  # clamping at 0 is negligible out here
-    draws = synth.sample_gaussian(mean, variance=1.0, seed=1)
+    draws = synth._draw(synth.NoiseModel("gaussian", 1.0), mean, substream(1, "gaussian"))
     assert draws.min() >= 0
     assert draws.mean() == pytest.approx(4.0, abs=0.02)
     assert draws.var() == pytest.approx(1.0, abs=0.05)
@@ -56,7 +57,7 @@ def test_gaussian_sample_moments():
 
 def test_gaussian_clamps_at_zero():
     mean = np.zeros((100, 100))
-    draws = synth.sample_gaussian(mean, variance=1.0, seed=2)
+    draws = synth._draw(synth.NoiseModel("gaussian", 1.0), mean, substream(2, "gaussian"))
     assert draws.min() == 0.0
     assert (draws == 0).mean() > 0.3  # about half the mass clamps
 
@@ -64,12 +65,12 @@ def test_gaussian_clamps_at_zero():
 def test_gaussian_rejects_bad_variance():
     for variance in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="variance must be finite and positive"):
-            synth.sample_gaussian(np.ones((2, 2)), variance=variance, seed=0)
+            synth.NoiseModel("gaussian", variance)
 
 
 def test_poisson_sample_moments():
     mean = np.full((250, 400), 3.0)
-    draws = synth.sample_poisson(mean, seed=4)
+    draws = synth._draw(synth.NoiseModel("poisson"), mean, substream(4, "poisson"))
     assert draws.dtype == np.float64
     assert draws.mean() == pytest.approx(3.0, abs=0.03)
     # equidispersion: variance tracks the mean
@@ -77,13 +78,8 @@ def test_poisson_sample_moments():
 
 
 def test_poisson_zero_intensity_stays_zero():
-    draws = synth.sample_poisson(np.zeros((20, 20)), seed=5)
+    draws = synth._draw(synth.NoiseModel("poisson"), np.zeros((20, 20)), substream(5, "poisson"))
     assert (draws == 0).all()
-
-
-def test_poisson_rejects_negative_intensity():
-    with pytest.raises(ConfigError):
-        synth.sample_poisson(np.array([[-1.0]]), seed=0)
 
 
 def test_noise_pair_mapping():

@@ -157,10 +157,10 @@ def test_split_disjoint_and_deterministic():
     corpus = Corpus(docs, ["a", "b"], ["g0"])
     t1, v1, s1 = textprep.split(corpus, seed=3)
     t2, v2, s2 = textprep.split(corpus, seed=3)
-    assert t1.texts() == t2.texts()
-    assert v1.texts() == v2.texts()
-    assert s1.texts() == s2.texts()
-    seen = t1.texts() + v1.texts() + s1.texts()
+    assert t1.documents == t2.documents
+    assert v1.documents == v2.documents
+    assert s1.documents == s2.documents
+    seen = [d.text for d in t1.documents + v1.documents + s1.documents]
     assert sorted(seen) == sorted(d.text for d in docs)
 
 
