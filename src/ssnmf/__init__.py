@@ -11,6 +11,7 @@ from . import evalcluster, matrix, rng, textprep
 from .classify import (
     ClassifierModel,
     accuracy,
+    grid_search,
     label,
     load_model,
     predict,
@@ -79,6 +80,7 @@ __all__ = [
     "gen_factors",
     "gen_separable",
     "gradient",
+    "grid_search",
     "i_divergence",
     "initialize",
     "label",

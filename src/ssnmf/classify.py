@@ -17,12 +17,14 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import matrix
-from .exceptions import ConfigError, FitError, ParseError, ShapeError
+from .exceptions import FitError, ParseError, ShapeError
 from .objectives import ModelVariant, TermValue
 from .rng import substream
 from .solver import FitResult, SsnmfConfig, _config_value, _uniform, _update_codes, fit, tol_stop
 
 DEFAULT_TRANSFORM_ITERS = 200
+GRID_TOLS = (1e-4, 1e-3, 1e-2)
+GRID_LAMBDAS = (10.0, 100.0, 1000.0)
 
 
 @dataclass
@@ -54,43 +56,58 @@ def _model(result: FitResult) -> ClassifierModel:
     return ClassifierModel(result.state.a, result.state.b, result.variant, result.config)
 
 
-def train_tols(
-    x_train,
-    y_train,
-    variant: ModelVariant,
-    config: SsnmfConfig,
-    tols,
-    w_train=None,
-    l_train=None,
-) -> dict:
-    """train at every tol in tols from one fit: {tol: (model, result)}.
+def grid_search(x_train, y_train, x_val, y_val, variant: ModelVariant, config: SsnmfConfig,
+                w_train=None, iters: int = DEFAULT_TRANSFORM_ITERS):
+    """Choose (tol, lam) in GRID_TOLS x GRID_LAMBDAS by accuracy on x_val.
 
-    For one config apart from tol, runs follow one trajectory and differ only
-    in where they stop (solver.tol_stop), so a fit at the smallest tol passes
-    each larger tol's stop on its way. Each tol gets the state and the trace
-    up to its own stop, or the whole run if it never stops, and equals train
-    at that tol bit for bit. Tols that stop at the same sweep share factors.
+    Returns ((model, result), rows): train's output at the most accurate
+    pair (the first row on ties), bit for bit, and one {"tol", "lam",
+    "val_accuracy"} row per pair, tol-major. A tol's run is where its stop
+    (solver.tol_stop) falls on one fit per lam at the smallest tol, so tols
+    stopping at one sweep share factors and one validation transform. A
+    validation split unlike the training set is a ShapeError before any fit.
     """
-    start = []
-    stops = {}  # tol -> (sweep, state) at its first stop
+    _check_split(x_train, y_train, x_val, y_val, "val")
+    trained = {}  # (tol, lam) -> (model, result)
+    for lam in GRID_LAMBDAS:
+        trace, stops = [], {}  # stops: tol -> (sweep, state) at its first stop
 
-    def snapshot(sweep, state, value):
-        if sweep == 0:
-            start.append(value)
-            return
-        for tol in tols:
-            if tol not in stops and tol_stop(value, start[0], tol):
-                stops[tol] = (sweep, state)
+        def snapshot(sweep, state, value):
+            trace.append(value)
+            for tol in GRID_TOLS:
+                if sweep and tol not in stops and tol_stop(value, trace[0], tol):
+                    stops[tol] = (sweep, state)
 
-    result = fit(variant, x_train, y_train, replace(config, tol=min(tols)),
-                 w=w_train, l=l_train, callback=snapshot)
-    trained = {}
-    for tol in tols:
-        sweep, state = stops.get(tol, (result.iterations_run, result.state))
-        run = FitResult.from_trace(variant, replace(config, tol=tol), state,
-                                   result.objective_trace[: sweep + 1])
-        trained[tol] = (_model(run), run)
-    return trained
+        base = replace(config, lam=lam)
+        result = fit(variant, x_train, y_train, replace(base, tol=min(GRID_TOLS)),
+                     w=w_train, callback=snapshot)
+        for tol in GRID_TOLS:
+            sweep, state = stops.get(tol, (result.iterations_run, result.state))
+            run = FitResult.from_trace(variant, replace(base, tol=tol), state,
+                                       result.objective_trace[: sweep + 1])
+            trained[tol, lam] = (_model(run), run)
+    rows, val_accuracy = [], {}  # val_accuracy: (lam, sweep) -> accuracy
+    for tol in GRID_TOLS:
+        for lam in GRID_LAMBDAS:
+            model, result = trained[tol, lam]
+            key = (lam, result.iterations_run)
+            if key not in val_accuracy:
+                y_pred = predict(model, transform(model, x_val, iters=iters))
+                val_accuracy[key] = accuracy(y_val, y_pred)
+            rows.append({"tol": tol, "lam": lam, "val_accuracy": val_accuracy[key]})
+    best = max(rows, key=lambda row: row["val_accuracy"])  # the first of equals
+    return trained[best["tol"], best["lam"]], rows
+
+
+def _check_split(x_train, y_train, x, y, split):
+    """Reject an evaluation split whose x is not finite and nonnegative with
+    x_train's rows, or whose y, when given, is not y_train's rows by x's columns."""
+    rows, cols = matrix.check_nonnegative(matrix.as_matrix(x, f"x_{split}"), f"x_{split}").shape
+    if rows != np.shape(x_train)[0]:
+        raise ShapeError(f"x_{split} has {rows} rows, x_train has {np.shape(x_train)[0]}")
+    if y is not None and np.shape(y) != (np.shape(y_train)[0], cols):
+        raise ShapeError(f"y_{split} has shape {np.shape(y)}, expected "
+                         f"{(np.shape(y_train)[0], cols)} from y_train and x_{split}")
 
 
 def transform(
@@ -166,22 +183,28 @@ def save_model(model: ClassifierModel, out_dir, vocabulary: Optional[str] = None
 
 
 def load_model(model_dir) -> ClassifierModel:
+    """save_model's model; a bad manifest or matrix is a ParseError naming its file."""
     path = os.path.join(model_dir, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
     try:
-        values = {name: _config_value(name, kind, manifest[name])
-                  for name, kind in get_type_hints(SsnmfConfig).items()}
-        variant = ModelVariant.parse(manifest["variant"])
+        config = SsnmfConfig(**{name: _config_value(name, kind, manifest[name])
+                                for name, kind in get_type_hints(SsnmfConfig).items()})
+        variant = ModelVariant.parse(_config_value("variant", str, manifest["variant"]))
     except KeyError as exc:
         raise ParseError(f"{path}: manifest has no {exc.args[0]!r} field") from None
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: manifest field {exc}") from None
-    return ClassifierModel(
-        a_train=matrix.read_csv(os.path.join(model_dir, "A.csv")),
-        b_train=matrix.read_csv(os.path.join(model_dir, "B.csv")),
-        variant=variant,
-        config=SsnmfConfig(**values),
-    )
+    factors = []
+    for name in ("A", "B"):
+        csv = os.path.join(model_dir, f"{name}.csv")
+        try:
+            factors.append(matrix.check_nonnegative(matrix.read_csv(csv), name))
+        except ShapeError as exc:
+            raise ParseError(f"{csv}: {exc}") from None
+        if factors[-1].shape[1] != config.r:
+            raise ParseError(f"{path}: manifest field r is {config.r}, "
+                             f"but {name}.csv has {factors[-1].shape[1]} columns")
+    return ClassifierModel(*factors, variant, config)

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,9 +33,6 @@ from .exceptions import (
 )
 from .objectives import ModelVariant
 from .solver import SsnmfConfig, _config_value, fit
-
-GRID_TOLS = (1e-4, 1e-3, 1e-2)
-GRID_LAMBDAS = (10.0, 100.0, 1000.0)
 
 # ---------------------------------------------------------------- options
 
@@ -197,24 +194,16 @@ def cmd_fit(args) -> int:
         l = np.zeros_like(y)
     variant = ModelVariant.parse(opts["variant"])
     result = fit(variant, x, y, _build(SsnmfConfig, opts), w=w, l=l)
-    out_dir = opts["out_dir"]
-    result.save(out_dir)
-    # save writes result.json without the volatile field; the report adds it
-    _write_report(os.path.join(out_dir, "result.json"), result.to_dict(),
-                  args.no_timestamp)
+    out_dir = _out_dir(opts)
+    _write_report(os.path.join(out_dir, "result.json"), result.to_dict(), args.no_timestamp)
+    for name, f in (("A", result.state.a), ("B", result.state.b), ("S", result.state.s)):
+        matrix.write_csv(os.path.join(out_dir, f"{name}.csv"), f)
     print(f"fit {variant.key}: {result.iterations_run} iterations, "
           f"relative error {result.relative_error:.6g}")
     return 0
 
 
 # ---------------------------------------------------------------- classify
-
-def _evaluate(model, x_eval, w_eval, y_eval, transform_iters):
-    """Predicted labels of x_eval, and their accuracy when y_eval is given."""
-    s_eval = cls.transform(model, x_eval, w_test=w_eval, iters=transform_iters)
-    y_pred = cls.predict(model, s_eval)
-    return y_pred, cls.accuracy(y_eval, y_pred) if y_eval is not None else None
-
 
 def cmd_classify(args) -> int:
     opts = _resolve(args)
@@ -224,39 +213,22 @@ def cmd_classify(args) -> int:
         for key in ("x_train", "y_train", "x_test", "y_test", "w_train", "w_test"))
     variant = ModelVariant.parse(opts["variant"])
     transform_iters = opts["transform_iters"]
+    if transform_iters < 1:
+        raise ConfigError(f"transform_iters must be >= 1, got {transform_iters}")
+    cls._check_split(x_train, y_train, x_test, y_test, "test")
+    matrix.as_mask(w_test, x_test, "w_test", "x_test")
     base = _build(SsnmfConfig, opts)
     grid_results = None
     if opts["grid"]:
         _require(opts, "--grid", "x_val", "y_val")
-        x_val = _read_matrix_arg(opts, "x_val")
-        y_val = _read_matrix_arg(opts, "y_val")
-        # one fit per lam; each tol's model is where its stop falls on that fit
-        trained = {}
-        for lam in GRID_LAMBDAS:
-            runs = cls.train_tols(x_train, y_train, variant, replace(base, lam=lam),
-                                  GRID_TOLS, w_train=w_train)
-            trained.update(((tol, lam), run) for tol, run in runs.items())
-        val_accuracy = {}  # (lam, sweep) -> accuracy; tols stopping together share it
-        best_acc = -1.0
-        grid_results = []
-        for tol in GRID_TOLS:
-            for lam in GRID_LAMBDAS:
-                model, result = trained[tol, lam]
-                snapshot = (lam, result.iterations_run)
-                if snapshot not in val_accuracy:
-                    val_accuracy[snapshot] = _evaluate(
-                        model, x_val, None, y_val, transform_iters)[1]
-                acc = val_accuracy[snapshot]
-                grid_results.append({"tol": tol, "lam": lam, "val_accuracy": acc})
-                if acc > best_acc:
-                    best_acc = acc
-                    chosen = (tol, lam)
-        # the test run uses the chosen grid model: same inputs, seed and config
-        model, result = trained[chosen]
+        (model, result), grid_results = cls.grid_search(
+            x_train, y_train, _read_matrix_arg(opts, "x_val"), _read_matrix_arg(opts, "y_val"),
+            variant, base, w_train=w_train, iters=transform_iters)
     else:
         model, result = cls.train(x_train, y_train, variant, base, w_train=w_train)
     config = model.config
-    y_pred, acc = _evaluate(model, x_test, w_test, y_test, transform_iters)
+    y_pred = cls.predict(model, cls.transform(model, x_test, w_test=w_test, iters=transform_iters))
+    acc = cls.accuracy(y_test, y_pred) if y_test is not None else None
     out_dir = _out_dir(opts)
     matrix.write_csv(os.path.join(out_dir, "predictions.csv"), y_pred)
     if opts["save_model"]:

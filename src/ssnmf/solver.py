@@ -12,7 +12,6 @@ explicit-ones path to rounding.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -126,14 +125,6 @@ class FitResult:
             "relative_error": float(self.relative_error),
             "iterations_run": int(self.iterations_run),
         }
-
-    def save(self, out_dir) -> None:
-        """Write result.json plus A.csv, B.csv, S.csv into out_dir."""
-        os.makedirs(out_dir, exist_ok=True)
-        matrix.write_json(os.path.join(out_dir, "result.json"), self.to_dict())
-        matrix.write_csv(os.path.join(out_dir, "A.csv"), self.state.a)
-        matrix.write_csv(os.path.join(out_dir, "B.csv"), self.state.b)
-        matrix.write_csv(os.path.join(out_dir, "S.csv"), self.state.s)
 
 
 def _uniform(gen: np.random.Generator, shape) -> np.ndarray:

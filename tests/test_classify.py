@@ -1,11 +1,12 @@
 import json
+import os
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssnmf import classify
+from ssnmf import classify, matrix
 from ssnmf.exceptions import FitError, ParseError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, frobenius_sq, i_divergence
 from ssnmf.rng import substream
@@ -154,7 +155,8 @@ def stop_tols(trace, sweep):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_train_tols_equals_train_at_each_tol(variant):
+def test_grid_search_equals_train_at_the_chosen_pair(variant, monkeypatch):
+    # one lam and four tols that stop at sweeps 12, 30 (never), 4 and 12
     x, y, _ = gen_separable(classes=3, per_class=12, seed=5)
     cfg = SsnmfConfig(r=3, lam=4.0, max_iters=30, seed=9)
     trace = classify.train(x, y, variant, cfg)[1].objective_trace
@@ -162,11 +164,29 @@ def test_train_tols_equals_train_at_each_tol(variant):
     early, _ = stop_tols(trace, 4)
     never = trace[-1] / trace[0] / 2
     tols = (late, never, early, late_twin)
-    trained = classify.train_tols(x, y, variant, cfg, tols)
-    assert [trained[tol][1].iterations_run for tol in tols] == [12, 30, 4, 12]
-    for tol in tols:
-        model, result = trained[tol]
-        want_model, want = classify.train(x, y, variant, replace(cfg, tol=tol))
+    monkeypatch.setattr(classify, "GRID_TOLS", tols)
+    monkeypatch.setattr(classify, "GRID_LAMBDAS", (cfg.lam,))
+    transforms = []
+    real_transform = classify.transform
+
+    def counted(*args, **kwargs):
+        transforms.append(None)
+        return real_transform(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "transform", counted)
+    # one validation accuracy per distinct stop, in tol-major order: 12, 30, 4;
+    # the last scores tie everywhere, so the first row wins
+    for scores, chosen, stop in (((1.0, 0.0, 0.0), late, 12), ((0.0, 1.0, 0.0), never, 30),
+                                 ((0.0, 0.0, 1.0), early, 4), ((0.5, 0.5, 0.5), late, 12)):
+        rigged = iter(scores)
+        monkeypatch.setattr(classify, "accuracy", lambda y_true, y_pred: next(rigged))
+        transforms.clear()
+        (model, result), rows = classify.grid_search(x, y, x, y, variant, cfg, iters=5)
+        assert len(transforms) == 3
+        assert rows == [{"tol": tol, "lam": cfg.lam, "val_accuracy": acc}
+                        for tol, acc in zip(tols, scores + scores[:1])]
+        assert result.iterations_run == stop
+        want_model, want = classify.train(x, y, variant, replace(cfg, tol=chosen))
         assert result.to_dict() == want.to_dict()
         assert (model.variant, model.config) == (want_model.variant, want_model.config)
         for got, ref in zip((model.a_train, model.b_train, result.state.s),
@@ -209,14 +229,28 @@ def test_load_model_missing_field_is_parse_error(tmp_path):
     ("r", "2", "r must be an integer, got '2'"),
     ("r", 2.5, "r must be an integer, got 2.5"),
     ("lam", None, "lam must be a number, got None"),
+    ("r", 0, "r must be finite and >= 1, got 0"),
+    ("eps", -1.0, "eps must be finite and positive, got -1.0"),
+    ("variant", 5, "variant must be a string, got 5"),
+    ("r", 3, "r is 3, but A.csv has 2 columns"),
+    # a .csv field replaces that matrix; want then names the file it expects
+    ("B.csv", np.ones((2, 3)), "manifest.json: manifest field r is 2, but B.csv has 3 columns"),
+    ("A.csv", [[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]],
+     "A.csv: A must be entrywise finite and nonnegative, found nan at (0, 1)"),
+    ("B.csv", [[1.0, 1.0], [-1.0, 1.0]],
+     "B.csv: B must be entrywise finite and nonnegative, found -1.0 at (1, 0)"),
 ])
 def test_load_model_field_of_wrong_type_is_parse_error(tmp_path, field, value, want):
     model = classify.ClassifierModel(
         np.ones((3, 2)), np.ones((2, 2)), ModelVariant.FRO_FRO, SsnmfConfig(r=2)
     )
     classify.save_model(model, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest[field] = value
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ParseError, match=f"manifest field {re.escape(want)}$"):
+    if field.endswith(".csv"):
+        matrix.write_csv(tmp_path / field, np.asarray(value, dtype=float))
+    else:
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        want = "manifest.json: manifest field " + want
+    with pytest.raises(ParseError, match=f"^{re.escape(os.path.join(tmp_path, want))}$"):
         classify.load_model(tmp_path)

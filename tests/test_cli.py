@@ -321,12 +321,16 @@ def test_fit_writes_factors_and_report(tmp_path, fit_inputs):
                      "--variant", "fro-div", "--r", "2", "--max-iters", "20",
                      "--out-dir", str(out), "--no-timestamp"])
     assert code == 0
-    assert matrix.read_csv(out / "A.csv").shape == (6, 2)
-    assert matrix.read_csv(out / "B.csv").shape == (2, 2)
+    x, y = (matrix.read_csv(fit_inputs[key]) for key in ("x", "y"))
+    result = solver.fit(ModelVariant.FRO_DIV, x, y, SsnmfConfig(r=2, max_iters=20))
+    for name, want in (("A", result.state.a), ("B", result.state.b), ("S", result.state.s)):
+        assert np.array_equal(matrix.read_csv(out / f"{name}.csv"), want)
     assert matrix.read_csv(out / "S.csv").shape == (2, 9)
     report = read_json(out / "result.json")
+    assert report == result.to_dict()
     assert report["variant"] == "fro-div"
     assert report["iterations_run"] == 20
+    assert len(report["objective_trace"]) == 21
     assert report["relative_error"] <= 1.0
     assert "timestamp" not in report
 
@@ -479,9 +483,9 @@ def test_classify_grid_sweeps_and_picks(tmp_path, classify_inputs):
     ])
     assert code == 0
     report = read_json(out / "report.json")
-    assert len(report["grid"]) == len(cli.GRID_TOLS) * len(cli.GRID_LAMBDAS)
-    assert report["tol"] in cli.GRID_TOLS
-    assert report["lam"] in cli.GRID_LAMBDAS
+    assert len(report["grid"]) == len(classify.GRID_TOLS) * len(classify.GRID_LAMBDAS)
+    assert report["tol"] in classify.GRID_TOLS
+    assert report["lam"] in classify.GRID_LAMBDAS
     best = max(row["val_accuracy"] for row in report["grid"])
     chosen = [row for row in report["grid"]
               if row["tol"] == report["tol"] and row["lam"] == report["lam"]]
@@ -503,8 +507,8 @@ def classify_grid_by_refitting(inputs, out_dir, model_dir, r, max_iters, transfo
         return model, result, y_pred, classify.accuracy(y_eval, y_pred)
 
     best_acc, grid = -1.0, []
-    for tol in cli.GRID_TOLS:
-        for lam in cli.GRID_LAMBDAS:
+    for tol in classify.GRID_TOLS:
+        for lam in classify.GRID_LAMBDAS:
             acc = train_eval(replace(base, tol=tol, lam=lam), data["x_val"], data["y_val"])[3]
             grid.append({"tol": tol, "lam": lam, "val_accuracy": acc})
             if acc > best_acc:
@@ -528,7 +532,7 @@ def test_classify_grid_matches_a_fit_per_pair_byte_for_byte(tmp_path, classify_i
     # tols chosen on the first lam's trajectory: two stop together at sweep
     # 12, one stops at sweep 4 and one never stops
     x_train, y_train = (matrix.read_csv(classify_inputs[key]) for key in ("x_train", "y_train"))
-    config = SsnmfConfig(r=3, lam=cli.GRID_LAMBDAS[0], max_iters=20)
+    config = SsnmfConfig(r=3, lam=classify.GRID_LAMBDAS[0], max_iters=20)
     trace = classify.train(x_train, y_train, ModelVariant.DIV_FRO, config)[1].objective_trace
     q = [v / trace[0] for v in trace]
     tols = (q[12] + (q[11] - q[12]) / 3, q[-1] / 2, (q[3] + q[4]) / 2,
@@ -536,7 +540,7 @@ def test_classify_grid_matches_a_fit_per_pair_byte_for_byte(tmp_path, classify_i
     stops = [classify.train(x_train, y_train, ModelVariant.DIV_FRO, replace(config, tol=tol))[1]
              .iterations_run for tol in tols]
     assert stops == [12, 20, 4, 12]
-    monkeypatch.setattr(cli, "GRID_TOLS", tols)
+    monkeypatch.setattr(classify, "GRID_TOLS", tols)
 
     classify_grid_by_refitting(classify_inputs, tmp_path / "ref", tmp_path / "ref_model",
                                r=3, max_iters=20, transform_iters=15)
@@ -553,8 +557,9 @@ def test_classify_grid_matches_a_fit_per_pair_byte_for_byte(tmp_path, classify_i
     assert tree_bytes(tmp_path / "model") == tree_bytes(tmp_path / "ref_model")
 
 
-@pytest.mark.parametrize("grid", [True, False])
-def test_classify_fits_once_per_lam(tmp_path, classify_inputs, monkeypatch, grid):
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """A list that gains one entry per classify.fit call."""
     calls = []
     real = classify.fit
 
@@ -563,6 +568,11 @@ def test_classify_fits_once_per_lam(tmp_path, classify_inputs, monkeypatch, grid
         return real(*args, **kwargs)
 
     monkeypatch.setattr(classify, "fit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, grid):
     code = cli.main([
         "classify", *(["--grid"] if grid else []),
         *(arg for key, path in classify_inputs.items()
@@ -571,7 +581,40 @@ def test_classify_fits_once_per_lam(tmp_path, classify_inputs, monkeypatch, grid
         "--out-dir", str(tmp_path / "out"), "--no-timestamp",
     ])
     assert code == 0
-    assert len(calls) == (len(cli.GRID_LAMBDAS) if grid else 1)
+    assert len(fit_calls) == (len(classify.GRID_LAMBDAS) if grid else 1)
+
+
+@pytest.mark.parametrize("key,bad,flags,want", [
+    (None, None, ["--transform-iters", "0"], "transform_iters must be >= 1, got 0"),
+    (None, None, ["--transform-iters", "-5"], "transform_iters must be >= 1, got -5"),
+    ("x_test", (29, 18), [], "x_test has 29 rows, x_train has 30"),
+    ("w_test", (30, 17), [], "w_test shape (30, 17) does not match x_test shape (30, 18)"),
+    ("y_test", (3, 17), [], "y_test has shape (3, 17), expected (3, 18) from y_train and x_test"),
+    ("y_val", (2, 18), ["--grid"],
+     "y_val has shape (2, 18), expected (3, 18) from y_train and x_val"),
+    ("x_val", (29, 18), ["--grid"], "x_val has 29 rows, x_train has 30"),
+    ("x_test", -1.0, [], "x_test must be entrywise finite and nonnegative, found -1.0 at (1, 1)"),
+    ("x_val", np.nan, ["--grid"],
+     "x_val must be entrywise finite and nonnegative, found nan at (1, 1)"),
+])
+def test_classify_rejects_bad_evaluation_inputs_before_any_fit(
+        tmp_path, classify_inputs, fit_calls, capsys, key, bad, flags, want):
+    inputs = dict(classify_inputs)
+    if isinstance(bad, tuple):
+        inputs[key] = write_matrix(tmp_path / "bad.csv", np.ones(bad))
+    elif key is not None:  # one bad entry in the split's own matrix
+        x = matrix.read_csv(inputs[key])
+        x[1, 1] = bad
+        inputs[key] = write_matrix(tmp_path / "bad.csv", x)
+    code = cli.main([
+        "classify",
+        *(arg for name, path in inputs.items() for arg in ("--" + name.replace("_", "-"), path)),
+        "--r", "3", "--max-iters", "15", "--transform-iters", "15", *flags,
+        "--out-dir", str(tmp_path / "out"), "--no-timestamp",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert fit_calls == []
 
 
 def test_classify_saves_model(tmp_path, classify_inputs):
