@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssnmf import objectives, solver
+from ssnmf import matrix, objectives, solver
 from ssnmf.classify import ClassifierModel, transform
 from ssnmf.exceptions import ConfigError, FitError, ShapeError
 from ssnmf.objectives import VARIANTS, Loss, ModelVariant, ObjectiveSpec, objective
@@ -745,3 +745,21 @@ def test_fit_rejects_non_finite_input(bad):
     l[0, 0] = bad
     with pytest.raises(ShapeError, match="l must be a 0/1 mask"):
         fit(ModelVariant.DIV_DIV, np.ones((6, 8)), y, cfg, l=l)
+
+
+def test_fit_result_save_roundtrip(tmp_path):
+    # the factor CSVs and result.json that `ssnmf fit` writes read back exactly
+    _, x, y = random_system(67)
+    cfg = SsnmfConfig(r=2, max_iters=4, seed=1)
+    result = fit(ModelVariant.FRO_DIV, x, y, cfg)
+    for name, f in (("A", result.state.a), ("B", result.state.b), ("S", result.state.s)):
+        matrix.write_csv(tmp_path / f"{name}.csv", f)
+        assert np.array_equal(matrix.read_csv(tmp_path / f"{name}.csv"), f)
+    matrix.write_json(tmp_path / "result.json", result.to_dict())
+    import json
+
+    report = json.loads((tmp_path / "result.json").read_text())
+    assert report == result.to_dict()
+    assert report["variant"] == "fro-div"
+    assert report["iterations_run"] == 4
+    assert len(report["objective_trace"]) == 5
