@@ -18,6 +18,7 @@ import numpy as np
 
 from . import matrix
 from .exceptions import FitError, ParseError, ShapeError
+from .jobs import map_jobs
 from .objectives import ModelVariant, TermValue
 from .rng import substream
 from .solver import FitResult, SsnmfConfig, _config_value, _uniform, _update_codes, fit, tol_stop
@@ -57,46 +58,50 @@ def _model(result: FitResult) -> ClassifierModel:
 
 
 def grid_search(x_train, y_train, x_val, y_val, variant: ModelVariant, config: SsnmfConfig,
-                w_train=None, iters: int = DEFAULT_TRANSFORM_ITERS):
+                w_train=None, iters: int = DEFAULT_TRANSFORM_ITERS, workers: int | None = None):
     """Choose (tol, lam) in GRID_TOLS x GRID_LAMBDAS by accuracy on x_val.
 
     Returns ((model, result), rows): train's output at the most accurate
     pair (the first row on ties), bit for bit, and one {"tol", "lam",
     "val_accuracy"} row per pair, tol-major. A tol's run is where its stop
     (solver.tol_stop) falls on one fit per lam at the smallest tol, so tols
-    stopping at one sweep share factors and one validation transform. A
-    validation split unlike the training set is a ShapeError before any fit.
+    stopping at one sweep share factors and one validation transform. Each
+    lam is one job of jobs.map_jobs, so the workers do not change the result.
+    A validation split unlike the training set is a ShapeError before any fit.
     """
     _check_split(x_train, y_train, x_val, y_val, "val")
-    trained = {}  # (tol, lam) -> (model, result)
-    for lam in GRID_LAMBDAS:
-        trace, stops = [], {}  # stops: tol -> (sweep, state) at its first stop
-
-        def snapshot(sweep, state, value):
-            trace.append(value)
-            for tol in GRID_TOLS:
-                if sweep and tol not in stops and tol_stop(value, trace[0], tol):
-                    stops[tol] = (sweep, state)
-
-        base = replace(config, lam=lam)
-        result = fit(variant, x_train, y_train, replace(base, tol=min(GRID_TOLS)),
-                     w=w_train, callback=snapshot)
-        for tol in GRID_TOLS:
-            sweep, state = stops.get(tol, (result.iterations_run, result.state))
-            run = FitResult.from_trace(variant, replace(base, tol=tol), state,
-                                       result.objective_trace[: sweep + 1])
-            trained[tol, lam] = (_model(run), run)
-    rows, val_accuracy = [], {}  # val_accuracy: (lam, sweep) -> accuracy
-    for tol in GRID_TOLS:
-        for lam in GRID_LAMBDAS:
-            model, result = trained[tol, lam]
-            key = (lam, result.iterations_run)
-            if key not in val_accuracy:
-                y_pred = predict(model, transform(model, x_val, iters=iters))
-                val_accuracy[key] = accuracy(y_val, y_pred)
-            rows.append({"tol": tol, "lam": lam, "val_accuracy": val_accuracy[key]})
+    jobs = [(x_train, y_train, x_val, y_val, variant, replace(config, lam=lam), GRID_TOLS,
+             w_train, iters) for lam in GRID_LAMBDAS]
+    per_lam = dict(zip(GRID_LAMBDAS, map_jobs(_grid_lam, jobs, workers)))
+    rows = [{"tol": tol, "lam": lam, "val_accuracy": per_lam[lam][tol][1]}
+            for tol in GRID_TOLS for lam in GRID_LAMBDAS]
     best = max(rows, key=lambda row: row["val_accuracy"])  # the first of equals
-    return trained[best["tol"], best["lam"]], rows
+    return per_lam[best["lam"]][best["tol"]][0], rows
+
+
+def _grid_lam(x_train, y_train, x_val, y_val, variant, config, tols, w_train, iters):
+    """grid_search's job for config.lam: tol -> ((model, run), val accuracy)."""
+    trace, stops = [], {}  # stops: tol -> (sweep, state) at its first stop
+
+    def snapshot(sweep, state, value):
+        trace.append(value)
+        for tol in tols:
+            if sweep and tol not in stops and tol_stop(value, trace[0], tol):
+                stops[tol] = (sweep, state)
+
+    result = fit(variant, x_train, y_train, replace(config, tol=min(tols)),
+                 w=w_train, callback=snapshot)
+    out, val_accuracy = {}, {}  # val_accuracy: sweep -> accuracy
+    for tol in tols:
+        sweep, state = stops.get(tol, (result.iterations_run, result.state))
+        run = FitResult.from_trace(variant, replace(config, tol=tol), state,
+                                   result.objective_trace[: sweep + 1])
+        model = _model(run)
+        if sweep not in val_accuracy:
+            y_pred = predict(model, transform(model, x_val, iters=iters))
+            val_accuracy[sweep] = accuracy(y_val, y_pred)
+        out[tol] = ((model, run), val_accuracy[sweep])
+    return out
 
 
 def _check_split(x_train, y_train, x, y, split):

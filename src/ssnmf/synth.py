@@ -22,16 +22,13 @@ that weight is 2*var_x = 1/r for fro-div and 1/(2*var_y) = r for div-fro
 from __future__ import annotations
 
 import math
-import os
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ConfigError, FitError
+from .jobs import map_jobs
 from .objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
 from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, _terms, mu_step
@@ -229,56 +226,17 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
     return errors
 
 
-def _usable_cpus() -> int:
-    has_affinity = hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
-
-
-def default_workers() -> int:
-    """Usable CPUs // BLAS threads per process, at least 1: numpy's OpenBLAS
-    takes OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU.
-    OpenBLAS reads them once, when numpy is imported, so they must be set
-    before that; an MKL-built numpy ignores OPENBLAS_NUM_THREADS."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        threads = os.environ.get(var, "").strip()
-        if threads.isdecimal() and int(threads) > 0:
-            return max(1, _usable_cpus() // int(threads))
-    return 1
-
-
-def _exit_with_parent() -> None:
-    """Pool initializer: ends this worker once its parent is gone, which the
-    pool's own queues never notice when the parent is killed."""
-    parent = os.getppid()
-
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
 def run_benchmark(
     base: ExperimentSpec,
     experiments: Sequence[int] = EXPERIMENT_IDS,
     workers: int | None = None,
 ) -> ErrorGrid:
-    """Every trial of every experiment, with base's knobs. Each (experiment,
-    trial) job draws from its own substreams, so running them here or in a
-    pool of min(workers, jobs, usable CPUs) processes gives the same grid bit
-    for bit. workers defaults to default_workers().
+    """Every trial of every experiment, with base's knobs, on jobs.map_jobs's
+    processes. Each (experiment, trial) job draws from its own substreams, so
+    the grid is the same bit for bit whatever the workers.
     """
-    workers = default_workers() if workers is None else workers
-    if not workers >= 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = [(replace(base, experiment=e), t) for e in experiments for t in range(base.trials)]
-    processes = min(workers, len(jobs), _usable_cpus())
-    if processes <= 1:
-        columns = [_trial_column(spec, t) for spec, t in jobs]
-    else:
-        with ProcessPoolExecutor(processes, initializer=_exit_with_parent) as pool:
-            columns = list(pool.map(_trial_column, *zip(*jobs)))
+    columns = map_jobs(_trial_column, jobs, workers)
     # jobs run experiment-major; per_trial is trials x variants x experiments
     per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)
     return ErrorGrid(

@@ -4,7 +4,7 @@ import multiprocessing
 
 import pytest
 
-from ssnmf import synth
+from ssnmf import jobs
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -17,15 +17,15 @@ def no_child_process_outlives_the_suite():
 
 @pytest.fixture
 def real_pool_sizes(monkeypatch):
-    """Stubs 2 usable CPUs, so synth builds real pools of up to 2 processes on
-    any runner, and records the max_workers of each pool it builds."""
+    """Stubs 2 usable CPUs, so map_jobs builds real pools of 1 process beside
+    this one on any runner, and records the max_workers of each pool it builds."""
     sizes = []
 
-    class RecordingPool(synth.ProcessPoolExecutor):
+    class RecordingPool(jobs.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(synth, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 2)
     return sizes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ssnmf import classify, cli, matrix, solver, synth
+from ssnmf.exceptions import FitError
 from ssnmf.objectives import ModelVariant
 from ssnmf.rng import substream
 from ssnmf.solver import SsnmfConfig
@@ -291,6 +292,34 @@ def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "synth-bench"])
+@pytest.mark.parametrize("value,flag_error,config_error", [
+    (0, "error: workers must be >= 1, got 0", "error: workers must be >= 1, got 0"),
+    (-1, "error: workers must be >= 1, got -1", "error: workers must be >= 1, got -1"),
+    (2.5, "ssnmf {command}: error: argument --workers: invalid int value: '2.5'",
+     "error: workers must be an integer, got 2.5"),
+])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_workers_below_one_or_fractional_exits_two(tmp_path, classify_inputs, capsys, command,
+                                                   value, flag_error, config_error, in_config):
+    if command == "classify":
+        argv = classify_argv(classify_inputs, "--grid")
+    else:
+        argv = ["synth-bench", "--experiment", "1", "--n2", "6", "--k", "4", "--r", "2",
+                "--max-iters", "3", "--trials", "2"]
+    if in_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": value}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--workers", str(value)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(out)]) == 2
+    want = (config_error if in_config else flag_error).format(command=command)
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [want]
+    assert not out.exists()
+
+
 def test_config_supplies_values(tmp_path, fit_inputs):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 3, "max_iters": 4}))
@@ -571,17 +600,65 @@ def fit_calls(monkeypatch):
     return calls
 
 
+def classify_argv(classify_inputs, *flags):
+    return ["classify", *(arg for key, path in classify_inputs.items()
+                          for arg in ("--" + key.replace("_", "-"), path)),
+            "--r", "3", "--max-iters", "15", "--transform-iters", "15", "--no-timestamp",
+            *flags]
+
+
 @pytest.mark.parametrize("grid", [True, False])
 def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, grid):
-    code = cli.main([
-        "classify", *(["--grid"] if grid else []),
-        *(arg for key, path in classify_inputs.items()
-          for arg in ("--" + key.replace("_", "-"), path)),
-        "--r", "3", "--max-iters", "15", "--transform-iters", "15",
-        "--out-dir", str(tmp_path / "out"), "--no-timestamp",
-    ])
+    # one worker, so every fit is made, and counted, in this process
+    code = cli.main(classify_argv(classify_inputs, *(["--grid"] if grid else []),
+                                  "--workers", "1", "--out-dir", str(tmp_path / "out")))
     assert code == 0
     assert len(fit_calls) == (len(classify.GRID_LAMBDAS) if grid else 1)
+
+
+def test_classify_grid_pooled_writes_what_one_worker_writes(tmp_path, classify_inputs,
+                                                            monkeypatch, real_pool_sizes):
+    # with OPENBLAS_NUM_THREADS=1 on 2 CPUs the default pools the lambdas, and
+    # a huge --workers still builds one process beside this one
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    trees = {}
+    for name, flags in (("default", []), ("huge", ["--workers", "100000"]),
+                        ("one", ["--workers", "1"])):
+        argv = classify_argv(classify_inputs, "--grid", *flags,
+                             "--save-model", str(tmp_path / name / "model"),
+                             "--out-dir", str(tmp_path / name / "out"))
+        assert cli.main(argv) == 0
+        trees[name] = tree_bytes(tmp_path / name)
+    assert real_pool_sizes == [1, 1]
+    assert set(trees["one"]) == {os.path.join("out", "predictions.csv"),
+                                 os.path.join("out", "report.json"),
+                                 *(os.path.join("model", f)
+                                   for f in ("A.csv", "B.csv", "manifest.json"))}
+    assert trees["default"] == trees["one"] and trees["huge"] == trees["one"]
+
+
+def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classify_inputs,
+                                                               monkeypatch, real_pool_sizes,
+                                                               capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    failing = classify.GRID_LAMBDAS[1]  # a lambda the pool's process fits
+    real = classify.fit
+
+    def fails_at_one_lam(variant, x, y, config, **kwargs):
+        if config.lam == failing:
+            raise FitError(f"rigged failure at lam {config.lam}")
+        return real(variant, x, y, config, **kwargs)
+
+    monkeypatch.setattr(classify, "fit", fails_at_one_lam)
+    seen = []
+    for flags in (["--workers", "1"], []):
+        out = tmp_path / str(len(seen))
+        seen.append(cli.main(classify_argv(classify_inputs, "--grid", *flags,
+                                           "--out-dir", str(out))))
+        seen.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert real_pool_sizes == [1]
+    assert seen == [1, f"error: rigged failure at lam {failing}\n"] * 2
 
 
 @pytest.mark.parametrize("key,bad,flags,want", [
@@ -679,7 +756,7 @@ def test_synth_bench_default_workers_write_what_one_worker_writes(tmp_path, monk
     pooled, serial = tmp_path / "default", tmp_path / "one"
     assert cli.main(args + ["--out-dir", str(pooled)]) == 0
     assert cli.main(args + ["--workers", "1", "--out-dir", str(serial)]) == 0
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [1]
     assert set(tree_bytes(pooled)) == {"errorgrid.csv", "report.json"}
     assert tree_bytes(pooled) == tree_bytes(serial)
 

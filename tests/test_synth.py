@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from concurrent.futures import Future
 from dataclasses import replace
 
-from ssnmf import objectives, synth
+from ssnmf import jobs, objectives, synth
 from ssnmf.exceptions import ConfigError, FitError
 from ssnmf.objectives import VARIANTS, ModelVariant
 from ssnmf.rng import substream
@@ -173,7 +174,7 @@ def test_parallel_jobs_match_serial_bit_for_bit(real_pool_sizes):
     # three workers for 2 experiments x 2 trials: more workers than trials
     serial = synth.run_benchmark(tiny_spec(), (1, 3), workers=1)
     parallel = synth.run_benchmark(tiny_spec(), (1, 3), workers=3)
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [1]
     assert serial.per_trial.tobytes() == parallel.per_trial.tobytes()
     assert serial.means.tobytes() == parallel.means.tobytes()
 
@@ -187,7 +188,7 @@ def pool_sizes(monkeypatch):
     class RecordingPool:
         def __init__(self, max_workers, initializer):
             # every pool's workers watch for their parent's end
-            assert initializer is synth._exit_with_parent
+            assert initializer is jobs._exit_with_parent
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -196,11 +197,13 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(synth, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(synth, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
     return sizes
 
 
@@ -216,7 +219,7 @@ def test_pool_is_no_larger_than_the_jobs_or_the_cpus(pool_sizes, monkeypatch):
     monkeypatch.setattr(synth, "_trial_column", lambda spec, trial: np.zeros(len(VARIANTS)))
     synth.run_benchmark(replace(tiny_spec(), trials=2), (1,), workers=3)
     synth.run_benchmark(replace(tiny_spec(), trials=100000), (1,), workers=100000)
-    assert pool_sizes == [2, 4]
+    assert pool_sizes == [1, 3]
 
 
 def test_unpinned_blas_runs_the_jobs_in_process(pool_sizes, monkeypatch):
@@ -226,7 +229,40 @@ def test_unpinned_blas_runs_the_jobs_in_process(pool_sizes, monkeypatch):
     assert pool_sizes == []
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     synth.run_benchmark(tiny_spec(), (1, 3))
-    assert pool_sizes == [4]
+    assert pool_sizes == [3]
+
+
+def test_map_jobs_runs_here_from_the_back_what_the_pool_has_not_started(monkeypatch):
+    started = {1}  # the pool has started job 1 only
+
+    class SlowPool:
+        def __init__(self, max_workers, initializer):
+            self.submitted = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            if self.submitted in started:
+                future.set_running_or_notify_cancel()
+                future.set_result(("pool", fn(*args)))
+            self.submitted += 1
+            return future
+
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        return i * i
+
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", SlowPool)
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
+    assert jobs.map_jobs(job, [(i,) for i in range(5)], workers=2) == [0, ("pool", 1), 4, 9, 16]
+    assert ran == [1, 4, 3, 2, 0]  # job 1 as the pool took it, then the rest from the back
 
 
 @pytest.mark.parametrize("env, cpus, expected", [
@@ -247,23 +283,23 @@ def test_default_workers_is_usable_cpus_over_blas_threads(monkeypatch, env, cpus
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
-    assert synth.default_workers() == expected
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: cpus)
+    assert jobs.default_workers() == expected
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert synth._usable_cpus() == len(os.sched_getaffinity(0))
+        assert jobs._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert synth._usable_cpus() == 3
+    assert jobs._usable_cpus() == 3
 
 
 WORKER_OF_A_PARENT = """
 import os, time
 from concurrent.futures import ProcessPoolExecutor
-from ssnmf import synth
-pool = ProcessPoolExecutor(1, initializer=synth._exit_with_parent)
+from ssnmf import jobs
+pool = ProcessPoolExecutor(1, initializer=jobs._exit_with_parent)
 print(pool.submit(os.getpid).result(), flush=True)
 pool.submit(time.sleep, 600)
 time.sleep(600)
@@ -318,7 +354,7 @@ def test_gen_separable_structure():
     assert x.min() >= 0
 
 
-def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
+def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch, real_pool_sizes):
     step = synth.mu_step
     spec = tiny_spec(2)
     calls = []
@@ -333,4 +369,10 @@ def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
 
     monkeypatch.setattr(synth, "mu_step", inf_in_b)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
-        synth.run_benchmark(spec, [2])
+        synth.run_benchmark(spec, [2], workers=1)
+    # pooled, each process counts its own sweeps, so trial 1, which this
+    # process runs, fails too; the first failing job in order is reported
+    calls.clear()
+    with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
+        synth.run_benchmark(spec, [2], workers=2)
+    assert real_pool_sizes == [1]
