@@ -58,7 +58,7 @@ def _model(result: FitResult) -> ClassifierModel:
 
 
 def grid_search(x_train, y_train, x_val, y_val, variant: ModelVariant, config: SsnmfConfig,
-                w_train=None, iters: int = DEFAULT_TRANSFORM_ITERS, workers: int | None = None):
+                w_train=None, iters: int = DEFAULT_TRANSFORM_ITERS):
     """Choose (tol, lam) in GRID_TOLS x GRID_LAMBDAS by accuracy on x_val.
 
     Returns ((model, result), rows): train's output at the most accurate
@@ -66,13 +66,13 @@ def grid_search(x_train, y_train, x_val, y_val, variant: ModelVariant, config: S
     "val_accuracy"} row per pair, tol-major. A tol's run is where its stop
     (solver.tol_stop) falls on one fit per lam at the smallest tol, so tols
     stopping at one sweep share factors and one validation transform. Each
-    lam is one job of jobs.map_jobs, so the workers do not change the result.
+    lam is one jobs.map_jobs job, so the processes do not change the result.
     A validation split unlike the training set is a ShapeError before any fit.
     """
     _check_split(x_train, y_train, x_val, y_val, "val")
     jobs = [(x_train, y_train, x_val, y_val, variant, replace(config, lam=lam), GRID_TOLS,
              w_train, iters) for lam in GRID_LAMBDAS]
-    per_lam = dict(zip(GRID_LAMBDAS, map_jobs(_grid_lam, jobs, workers)))
+    per_lam = dict(zip(GRID_LAMBDAS, map_jobs(_grid_lam, jobs)))
     rows = [{"tol": tol, "lam": lam, "val_accuracy": per_lam[lam][tol][1]}
             for tol in GRID_TOLS for lam in GRID_LAMBDAS]
     best = max(rows, key=lambda row: row["val_accuracy"])  # the first of equals

@@ -42,9 +42,6 @@ from .solver import SsnmfConfig, _config_value, fit
 _OUT_DIR = {"out_dir": (str, ".", "output directory")}
 _SEED = {"seed": (int, 0, "top-level random seed")}
 _EPS = {"eps": (float, 1e-10, "guard added to divergence ratios")}
-_WORKERS = {"workers": (int, None, "processes for the command's independent jobs; default: "
-                                   "usable CPUs // BLAS threads per process, so 1 with BLAS "
-                                   "unpinned")}
 OPTIONS = {
     "fit": {
         "x": (str, None, "data matrix CSV"),
@@ -75,7 +72,7 @@ OPTIONS = {
         "transform_iters": (int, cls.DEFAULT_TRANSFORM_ITERS, None),
         "grid": (bool, False, "sweep tol and lam on the validation split"),
         "save_model": (str, None, "model output directory"),
-        **_WORKERS, **_EPS, **_SEED, **_OUT_DIR,
+        **_EPS, **_SEED, **_OUT_DIR,
     },
     "synth-bench": {
         "experiment": (tuple(map(str, synth.EXPERIMENT_IDS)) + ("all",), "all", None),
@@ -87,7 +84,9 @@ OPTIONS = {
         "lam": (float, 1.0, None),
         "max_iters": (int, 20000, None),
         "trials": (int, 5, None),
-        **_WORKERS, **_EPS, **_SEED, **_OUT_DIR,
+        "workers": (int, None, "processes for the (experiment, trial) jobs; default: usable "
+                               "CPUs // BLAS threads per process, so 1 with BLAS unpinned"),
+        **_EPS, **_SEED, **_OUT_DIR,
     },
     "prep": {
         "input": (str, None, "corpus directory tree or JSONL file"),
@@ -224,7 +223,7 @@ def cmd_classify(args) -> int:
         _require(opts, "--grid", "x_val", "y_val")
         (model, result), grid_results = cls.grid_search(
             x_train, y_train, _read_matrix_arg(opts, "x_val"), _read_matrix_arg(opts, "y_val"),
-            variant, base, w_train=w_train, iters=transform_iters, workers=opts["workers"])
+            variant, base, w_train=w_train, iters=transform_iters)
     else:
         model, result = cls.train(x_train, y_train, variant, base, w_train=w_train)
     config = model.config

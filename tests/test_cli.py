@@ -6,8 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssnmf import classify, cli, matrix, solver, synth
-from ssnmf.exceptions import FitError
+from ssnmf import classify, cli, jobs, matrix, solver, synth
 from ssnmf.objectives import ModelVariant
 from ssnmf.rng import substream
 from ssnmf.solver import SsnmfConfig
@@ -292,21 +291,17 @@ def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["classify", "synth-bench"])
 @pytest.mark.parametrize("value,flag_error,config_error", [
     (0, "error: workers must be >= 1, got 0", "error: workers must be >= 1, got 0"),
     (-1, "error: workers must be >= 1, got -1", "error: workers must be >= 1, got -1"),
-    (2.5, "ssnmf {command}: error: argument --workers: invalid int value: '2.5'",
+    (2.5, "ssnmf synth-bench: error: argument --workers: invalid int value: '2.5'",
      "error: workers must be an integer, got 2.5"),
 ])
 @pytest.mark.parametrize("in_config", [False, True])
-def test_workers_below_one_or_fractional_exits_two(tmp_path, classify_inputs, capsys, command,
-                                                   value, flag_error, config_error, in_config):
-    if command == "classify":
-        argv = classify_argv(classify_inputs, "--grid")
-    else:
-        argv = ["synth-bench", "--experiment", "1", "--n2", "6", "--k", "4", "--r", "2",
-                "--max-iters", "3", "--trials", "2"]
+def test_workers_below_one_or_fractional_exits_two(tmp_path, capsys, value, flag_error,
+                                                   config_error, in_config):
+    argv = ["synth-bench", "--experiment", "1", "--n2", "6", "--k", "4", "--r", "2",
+            "--max-iters", "3", "--trials", "2"]
     if in_config:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": value}))
@@ -315,7 +310,7 @@ def test_workers_below_one_or_fractional_exits_two(tmp_path, classify_inputs, ca
         argv += ["--workers", str(value)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out-dir", str(out)]) == 2
-    want = (config_error if in_config else flag_error).format(command=command)
+    want = config_error if in_config else flag_error
     assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [want]
     assert not out.exists()
 
@@ -608,57 +603,52 @@ def classify_argv(classify_inputs, *flags):
 
 
 @pytest.mark.parametrize("grid", [True, False])
-def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, grid):
-    # one worker, so every fit is made, and counted, in this process
+def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, monkeypatch, grid):
+    # one usable CPU, so every fit is made, and counted, in this process
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
     code = cli.main(classify_argv(classify_inputs, *(["--grid"] if grid else []),
-                                  "--workers", "1", "--out-dir", str(tmp_path / "out")))
+                                  "--out-dir", str(tmp_path / "out")))
     assert code == 0
     assert len(fit_calls) == (len(classify.GRID_LAMBDAS) if grid else 1)
 
 
-def test_classify_grid_pooled_writes_what_one_worker_writes(tmp_path, classify_inputs,
-                                                            monkeypatch, real_pool_sizes):
-    # with OPENBLAS_NUM_THREADS=1 on 2 CPUs the default pools the lambdas, and
-    # a huge --workers still builds one process beside this one
+def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_inputs, monkeypatch,
+                                                        real_pool_sizes):
+    # with OPENBLAS_NUM_THREADS=1 on 2 CPUs the default pools the lambdas; on
+    # 1 CPU they run here. numpy read its BLAS thread count at import.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     trees = {}
-    for name, flags in (("default", []), ("huge", ["--workers", "100000"]),
-                        ("one", ["--workers", "1"])):
-        argv = classify_argv(classify_inputs, "--grid", *flags,
+    for name, cpus in (("pooled", 2), ("serial", 1)):
+        monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
+        argv = classify_argv(classify_inputs, "--grid",
                              "--save-model", str(tmp_path / name / "model"),
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [1, 1]
-    assert set(trees["one"]) == {os.path.join("out", "predictions.csv"),
-                                 os.path.join("out", "report.json"),
-                                 *(os.path.join("model", f)
-                                   for f in ("A.csv", "B.csv", "manifest.json"))}
-    assert trees["default"] == trees["one"] and trees["huge"] == trees["one"]
+    assert real_pool_sizes == [1]
+    assert set(trees["serial"]) == {os.path.join("out", "predictions.csv"),
+                                    os.path.join("out", "report.json"),
+                                    *(os.path.join("model", f)
+                                      for f in ("A.csv", "B.csv", "manifest.json"))}
+    assert trees["pooled"] == trees["serial"]
 
 
 def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classify_inputs,
                                                                monkeypatch, real_pool_sizes,
                                                                capsys):
+    # lam 1e307 makes the objective overflow at initialization, so the failing
+    # job fails through its own arguments in whichever process runs it
+    monkeypatch.setattr(classify, "GRID_LAMBDAS", (10.0, 1e307, 100.0))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    failing = classify.GRID_LAMBDAS[1]  # a lambda the pool's process fits
-    real = classify.fit
-
-    def fails_at_one_lam(variant, x, y, config, **kwargs):
-        if config.lam == failing:
-            raise FitError(f"rigged failure at lam {config.lam}")
-        return real(variant, x, y, config, **kwargs)
-
-    monkeypatch.setattr(classify, "fit", fails_at_one_lam)
     seen = []
-    for flags in (["--workers", "1"], []):
-        out = tmp_path / str(len(seen))
-        seen.append(cli.main(classify_argv(classify_inputs, "--grid", *flags,
-                                           "--out-dir", str(out))))
+    for cpus in (1, 2):
+        monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / str(cpus)
+        seen.append(cli.main(classify_argv(classify_inputs, "--grid", "--out-dir", str(out))))
         seen.append(capsys.readouterr().err)
         assert not out.exists()
     assert real_pool_sizes == [1]
-    assert seen == [1, f"error: rigged failure at lam {failing}\n"] * 2
+    assert seen == [1, "error: objective is inf at initialization\n"] * 2
 
 
 @pytest.mark.parametrize("key,bad,flags,want", [

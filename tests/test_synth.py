@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -265,6 +266,13 @@ def test_map_jobs_runs_here_from_the_back_what_the_pool_has_not_started(monkeypa
     assert ran == [1, 4, 3, 2, 0]  # job 1 as the pool took it, then the rest from the back
 
 
+def test_map_jobs_raises_the_first_failing_job_in_job_order(real_pool_sizes):
+    # this process fails job 2 first; the pool's process fails job 1
+    with pytest.raises(ValueError, match="'x'"):
+        jobs.map_jobs(int, [("1",), ("x",), ("y",)], workers=2)
+    assert real_pool_sizes == [1]
+
+
 @pytest.mark.parametrize("env, cpus, expected", [
     ({}, 2, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
@@ -354,13 +362,13 @@ def test_gen_separable_structure():
     assert x.min() >= 0
 
 
-def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch, real_pool_sizes):
+def inf_in_b_at_the_last_sweep(monkeypatch, spec):
+    """Patches synth.mu_step so each process's first variant's last sweep
+    leaves A and S finite, B not."""
     step = synth.mu_step
-    spec = tiny_spec(2)
     calls = []
 
     def inf_in_b(*args, **kwargs):
-        # the first variant's last sweep leaves A and S finite, B not
         out = step(*args, **kwargs)
         calls.append(None)
         if len(calls) == spec.max_iters:
@@ -368,11 +376,22 @@ def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch, real_pool_siz
         return out
 
     monkeypatch.setattr(synth, "mu_step", inf_in_b)
+
+
+def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
+    spec = tiny_spec(2)
+    inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
         synth.run_benchmark(spec, [2], workers=1)
-    # pooled, each process counts its own sweeps, so trial 1, which this
-    # process runs, fails too; the first failing job in order is reported
-    calls.clear()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched mu_step reaches the pool's process only by fork")
+def test_pooled_non_finite_b_names_the_first_failing_trial(monkeypatch, real_pool_sizes):
+    # each process counts its own sweeps, so trial 1, which this process
+    # runs, fails too; the first failing job in order is reported
+    spec = tiny_spec(2)
+    inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
         synth.run_benchmark(spec, [2], workers=2)
     assert real_pool_sizes == [1]
