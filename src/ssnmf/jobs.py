@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from .exceptions import ConfigError
+
+# map_jobs' (counter, func, jobs, shared) while this process works on its jobs
+_running = []
 
 
 def _usable_cpus() -> int:
@@ -27,9 +31,10 @@ def default_workers() -> int:
     return 1
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: ends this worker once its parent is gone, which the
-    pool's own queues never notice when the parent is killed."""
+def _exit_with_parent(*running) -> None:
+    """Pool initializer: keeps map_jobs' state and ends this worker once its
+    parent is gone, which the pool's own queues never notice when it is killed."""
+    _running[:] = running
     parent = os.getppid()
 
     def watch():
@@ -40,29 +45,46 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def map_jobs(func, jobs: list, workers: int | None = None) -> list:
-    """[func(*job) for job in jobs] on min(workers, len(jobs), usable CPUs)
-    processes, this one among them; workers defaults to default_workers().
+def _take_jobs() -> list:
+    """(index, ok, result or exception) of each next job, until none is left."""
+    counter, func, jobs, shared = _running
+    done = []
+    while True:
+        with counter.get_lock():
+            i, counter.value = counter.value, counter.value + 1
+        if i >= len(jobs):
+            return done
+        try:
+            done.append((i, True, func(*shared, *jobs[i])))
+        except Exception as exc:  # raised by map_jobs, in job order
+            done.append((i, False, exc))
 
-    A pool of the other processes takes jobs from the front while this one
-    runs the last job, then takes back from the back every job the pool has
-    not started. func must be importable by name and a job's result must
-    depend on its arguments alone. When jobs fail, the first failing job in
-    job order raises, as when they all run here.
+
+def map_jobs(func, jobs: list, workers: int | None = None, shared: tuple = ()) -> list:
+    """[func(*shared, *job) for job in jobs] on min(workers, len(jobs), usable
+    CPUs) processes, this one among them; workers defaults to default_workers().
+
+    The pool of the other processes gets the jobs and shared operands through
+    its initializer, and each process, this one too, takes the next job from
+    one shared counter until none is left. A map inside a job runs in place.
+    func must be importable by name and a job's result must depend on its
+    arguments alone. When jobs fail, the first failing job in job order
+    raises, as when they all run here.
     """
     workers = default_workers() if workers is None else workers
     if not workers >= 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     processes = min(workers, len(jobs), _usable_cpus())
-    if processes <= 1:
-        return [func(*job) for job in jobs]
-    with ProcessPoolExecutor(processes - 1, initializer=_exit_with_parent) as pool:
-        futures = [pool.submit(func, *job) for job in jobs[:-1]] + [None]
-        for i in reversed(range(len(jobs))):
-            if futures[i] is None or futures[i].cancel():
-                futures[i] = Future()
-                try:
-                    futures[i].set_result(func(*jobs[i]))
-                except Exception as exc:  # raised below, in job order
-                    futures[i].set_exception(exc)
-        return [future.result() for future in futures]
+    if processes <= 1 or _running:
+        return [func(*shared, *job) for job in jobs]
+    _running[:] = (multiprocessing.Value("q", 0), func, jobs, shared)
+    try:
+        with ProcessPoolExecutor(processes - 1, initializer=_exit_with_parent,
+                                 initargs=tuple(_running)) as pool:
+            theirs = [pool.submit(_take_jobs) for _ in range(processes - 1)]
+            done = sorted(_take_jobs() + [job for future in theirs for job in future.result()])
+    finally:
+        _running.clear()
+    for exc in (value for _, ok, value in done if not ok):
+        raise exc  # the first failure in job order
+    return [value for _, _, value in done]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssnmf import classify, matrix
+from ssnmf import classify, jobs, matrix
 from ssnmf.exceptions import FitError, ParseError, ShapeError
 from ssnmf.objectives import VARIANTS, ModelVariant, frobenius_sq, i_divergence
 from ssnmf.rng import substream
@@ -118,6 +118,61 @@ def test_transform_with_an_overflowing_sparse_column_is_a_fit_error(variant):
     x[:, 4] = 1e308
     with pytest.raises(FitError, match="^transform codes are not finite after 20 iterations$"):
         classify.transform(model, x, iters=20)
+
+
+@pytest.mark.parametrize("n2", [0, 1, 128, 129])
+def test_transform_block_edges(n2):
+    # 129 columns make two blocks, [0, 65) and [65, 129); the codes of one
+    # depend on its own columns alone
+    rng = np.random.default_rng(2)
+    cfg = SsnmfConfig(r=3, seed=6)
+    model = classify.ClassifierModel(rng.random((7, 3)) + 0.1, np.ones((2, 3)),
+                                     ModelVariant.DIV_FRO, cfg)
+    x = rng.random((7, n2))
+    s = classify.transform(model, x, iters=5)
+    assert s.shape == (3, n2)
+    assert np.all(np.isfinite(s))
+    if n2 == 129:
+        x[:, 65:] = rng.random((7, 64))
+        other = classify.transform(model, x, iters=5)
+        assert other[:, :65].tobytes() == s[:, :65].tobytes()
+        assert not np.array_equal(other[:, 65:], s[:, 65:])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_codes_are_the_same_bytes_on_any_number_of_processes(variant, masked,
+                                                                       monkeypatch,
+                                                                       real_pool_sizes):
+    # with OPENBLAS_NUM_THREADS=1 the default workers are the stubbed usable CPUs
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    rng = np.random.default_rng(8)
+    model = classify.ClassifierModel(rng.random((20, 3)) + 0.1, np.ones((2, 3)), variant,
+                                     SsnmfConfig(r=3, seed=2))
+    for n2 in (1, 127, 128, 129, 723):
+        # 10% nonzero, so a divergence model forms its quotient sparsely
+        x = rng.random((20, n2)) * (rng.random((20, n2)) < 0.1)
+        w = (rng.random((20, n2)) < 0.8).astype(float) if masked else None
+        codes = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
+            codes.add(classify.transform(model, x, w_test=w, iters=15).tobytes())
+        assert len(codes) == 1, n2
+    # 129 columns are 2 blocks and 723 are 6: one pool process on 2 CPUs, 1 or 2 on 3
+    assert real_pool_sizes == [1, 1, 1, 2]
+
+
+def test_transform_fit_error_from_a_pooled_block(monkeypatch, real_pool_sizes):
+    # the overflowing column is in the last of 3 blocks
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    rng = np.random.default_rng(3)
+    model = classify.ClassifierModel(rng.random((30, 3)) + 0.1, np.ones((2, 3)),
+                                     ModelVariant.DIV_DIV, SsnmfConfig(r=3, seed=5))
+    x = np.zeros((30, 300))
+    x[:, 250] = 1e308
+    with pytest.raises(FitError, match="^transform codes are not finite after 20 iterations$"):
+        classify.transform(model, x, iters=20)
+    assert real_pool_sizes == [1]
 
 
 def test_predict_shape_check():

@@ -633,6 +633,38 @@ def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_input
     assert trees["pooled"] == trees["serial"]
 
 
+def test_classify_grid_pools_the_grid_and_the_test_transform_only(tmp_path, monkeypatch,
+                                                                    real_pool_sizes):
+    # 140 test and 130 validation columns are 2 transform blocks each; the
+    # validation transforms run inside the lambda jobs, so they run in place
+    x, y, _ = gen_separable(3, 100, seed=7)
+    order = substream(1, "cli-split").permutation(x.shape[1])
+    inputs = {}
+    for name, idx in (("test", order[:140]), ("val", order[140:270]), ("train", order[270:])):
+        inputs[f"x_{name}"] = write_matrix(tmp_path / f"x_{name}.csv", x[:, idx])
+        inputs[f"y_{name}"] = write_matrix(tmp_path / f"y_{name}.csv", y[:, idx])
+    built = tmp_path / "pools"
+
+    class PidPool(jobs.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            with open(built, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", PidPool)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    trees = {}
+    for name, cpus in (("pooled", 2), ("serial", 1)):
+        monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
+        argv = classify_argv(inputs, "--grid", "--save-model", str(tmp_path / name / "model"),
+                             "--out-dir", str(tmp_path / name / "out"))
+        assert cli.main(argv) == 0
+        trees[name] = tree_bytes(tmp_path / name)
+    assert real_pool_sizes == [1, 1]
+    assert built.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+    assert trees["pooled"] == trees["serial"]
+
+
 def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classify_inputs,
                                                                monkeypatch, real_pool_sizes,
                                                                capsys):

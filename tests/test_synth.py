@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers, initializer, initargs):
             # every pool's workers watch for their parent's end
             assert initializer is jobs._exit_with_parent
             sizes.append(max_workers)
@@ -233,37 +234,71 @@ def test_unpinned_blas_runs_the_jobs_in_process(pool_sizes, monkeypatch):
     assert pool_sizes == [3]
 
 
-def test_map_jobs_runs_here_from_the_back_what_the_pool_has_not_started(monkeypatch):
-    started = {1}  # the pool has started job 1 only
+@pytest.fixture
+def pool_holds_a_job(monkeypatch):
+    """Stands a thread in for the pool's one process on a 4-CPU machine: it
+    takes the first job and holds it until this process asks for the pool's
+    results. Returns hold(), which each job calls first: True, after the hold,
+    in the pool's thread, and False here."""
+    taken, release = threading.Event(), threading.Event()
+
+    class HeldFuture(Future):
+        def result(self, timeout=None):
+            release.set()
+            return super().result(timeout)
 
     class SlowPool:
-        def __init__(self, max_workers, initializer):
-            self.submitted = 0
+        def __init__(self, max_workers, initializer, initargs):
+            self.threads = []
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            for thread in self.threads:
+                thread.join(10)
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            if self.submitted in started:
-                future.set_running_or_notify_cancel()
-                future.set_result(("pool", fn(*args)))
-            self.submitted += 1
+        def submit(self, fn):
+            future = HeldFuture()
+            self.threads.append(threading.Thread(target=lambda: future.set_result(fn())))
+            self.threads[-1].start()
+            assert taken.wait(10)
             return future
 
-    ran = []
-
-    def job(i):
-        ran.append(i)
-        return i * i
+    def hold():
+        if threading.current_thread() is threading.main_thread():
+            return False
+        taken.set()
+        assert release.wait(10)
+        return True
 
     monkeypatch.setattr(jobs, "ProcessPoolExecutor", SlowPool)
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
-    assert jobs.map_jobs(job, [(i,) for i in range(5)], workers=2) == [0, ("pool", 1), 4, 9, 16]
-    assert ran == [1, 4, 3, 2, 0]  # job 1 as the pool took it, then the rest from the back
+    return hold
+
+
+def test_map_jobs_runs_here_every_job_but_the_one_the_pool_holds(pool_holds_a_job):
+    ran = []
+
+    def job(i):
+        if pool_holds_a_job():
+            return ("pool", i)
+        ran.append(i)
+        return i * i
+
+    assert jobs.map_jobs(job, [(i,) for i in range(5)], workers=2) == [("pool", 0), 1, 4, 9, 16]
+    assert ran == [1, 2, 3, 4]
+
+
+def test_map_jobs_raises_a_held_failure_before_a_later_one(pool_holds_a_job):
+    # the pool's job 0 fails after this process has failed job 2
+    def job(text):
+        pool_holds_a_job()
+        return int(text)
+
+    with pytest.raises(ValueError, match="'x'"):
+        jobs.map_jobs(job, [("x",), ("1",), ("y",)], workers=2)
 
 
 def test_map_jobs_raises_the_first_failing_job_in_job_order(real_pool_sizes):
