@@ -145,7 +145,7 @@ def transform(
         )
     w_test = matrix.as_mask(w_test, x_test, "w_test", "x_test")
     s = _uniform(substream(model.config.seed, "transform"), (a.shape[1], x_test.shape[1]))
-    blocks = max(1, -(-x_test.shape[1] // TRANSFORM_BLOCK))  # 1 block of 0 columns at 0
+    blocks = max(1, -(-x_test.shape[1] // TRANSFORM_BLOCK))  # 0 columns: one empty block
     jobs = list(zip(*([None] * blocks if m is None else np.array_split(m, blocks, axis=1)
                       for m in (s, x_test, w_test))))
     s = np.hstack(map_jobs(_transform_block, jobs, shared=(model, iters)))

@@ -308,6 +308,15 @@ def test_map_jobs_raises_the_first_failing_job_in_job_order(real_pool_sizes):
     assert real_pool_sizes == [1]
 
 
+def test_map_jobs_runs_each_job_once_on_more_processes_than_cores(monkeypatch,
+                                                                  real_pool_sizes):
+    # 4 processes share one job counter on a stubbed 4-CPU machine: a lost
+    # update would run a job twice or skip one, and change the result's length
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
+    assert jobs.map_jobs(abs, [(-i,) for i in range(20000)], workers=4) == list(range(20000))
+    assert real_pool_sizes == [3]
+
+
 @pytest.mark.parametrize("env, cpus, expected", [
     ({}, 2, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
