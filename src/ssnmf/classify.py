@@ -157,9 +157,11 @@ def transform(
 def _transform_block(model, iters, s, x, w):
     """transform's job: the codes s of x's columns after iters updates."""
     eps = model.config.eps
-    weighted = [(model.a_train, TermValue(x, w, model.variant.reconstruction, eps), 1.0)]
+    term = TermValue(x, w, model.variant.reconstruction, eps)
+    weighted = [(model.a_train, term, 1.0)]
     # a non-finite entry stays non-finite, so one check after the loop is enough
     with np.errstate(over="ignore", invalid="ignore"):
+        term.freeze(model.a_train)
         for _ in range(iters):
             s = _update_codes(s, weighted, eps)
     return s

@@ -84,8 +84,7 @@ OPTIONS = {
         "lam": (float, 1.0, None),
         "max_iters": (int, 20000, None),
         "trials": (int, 5, None),
-        "workers": (int, None, "processes for the (experiment, trial) jobs; default: usable "
-                               "CPUs // BLAS threads per process, so 1 with BLAS unpinned"),
+        "workers": (int, None, "CPUs for the (experiment, trial) jobs; default: usable CPUs"),
         **_EPS, **_SEED, **_OUT_DIR,
     },
     "prep": {
@@ -247,10 +246,7 @@ def cmd_classify(args) -> int:
         "grid": grid_results,
     }
     _write_report(os.path.join(out_dir, "report.json"), report, args.no_timestamp)
-    if acc is not None:
-        print(f"test accuracy: {acc:.4f}")
-    else:
-        print("predictions written (no y_test given)")
+    print("predictions written (no y_test given)" if acc is None else f"test accuracy: {acc:.4f}")
     return 0
 
 
@@ -258,26 +254,19 @@ def cmd_classify(args) -> int:
 
 def cmd_synth_bench(args) -> int:
     opts = _resolve(args)
-    if opts["experiment"] == "all":
-        experiments = list(synth.EXPERIMENT_IDS)
-    else:
-        experiments = [int(opts["experiment"])]
+    all_ids = opts["experiment"] == "all"
+    experiments = list(synth.EXPERIMENT_IDS) if all_ids else [int(opts["experiment"])]
     base = _build(synth.ExperimentSpec, {**opts, "experiment": experiments[0]})
     grid = synth.run_benchmark(base, experiments, workers=opts["workers"])
     out_dir = _out_dir(opts)
     grid.to_csv(os.path.join(out_dir, "errorgrid.csv"))
-    payload = grid.to_dict()
-    payload["column_minima"] = [grid.variants[i].key for i in grid.column_minima()]
-    _write_report(os.path.join(out_dir, "report.json"), payload, args.no_timestamp)
     minima = grid.column_minima()
-    header = "variant    " + "".join(f"  exp {e:<10}" for e in grid.experiments)
-    print(header)
+    payload = {**grid.to_dict(), "column_minima": [grid.variants[i].key for i in minima]}
+    _write_report(os.path.join(out_dir, "report.json"), payload, args.no_timestamp)
+    print("variant    " + "".join(f"  exp {e:<10}" for e in grid.experiments))
     for i, variant in enumerate(grid.variants):
-        cells = []
-        for j in range(len(grid.experiments)):
-            mark = "*" if minima[j] == i else " "
-            cells.append(f"  {grid.means[i, j]:<11.6g}{mark}")
-        print(f"{variant.key:<10}" + "".join(cells))
+        print(f"{variant.key:<10}" + "".join(f"  {grid.means[i, j]:<11.6g}{'*' if m == i else ' '}"
+                                             for j, m in enumerate(minima)))
     return 0
 
 
@@ -364,9 +353,7 @@ def cmd_cluster_score(args) -> int:
     m = _read_matrix_arg(opts, "m")
     mode = opts["mode"]
     modes = ("hard", "soft") if mode == "both" else (mode,)
-    payload = {}
-    for item in modes:
-        payload[f"{item}_mean_score"] = evalcluster.mean_score(s, m, mode=item)
+    payload = {f"{item}_mean_score": evalcluster.mean_score(s, m, mode=item) for item in modes}
     _write_report(os.path.join(_out_dir(opts), "scores.json"), payload, args.no_timestamp)
     for item in modes:
         print(f"{item} mean score P: {payload[f'{item}_mean_score']:.4f}")

@@ -116,6 +116,7 @@ class TermValue:
         self.grad_factor = 2.0 if loss is Loss.FRO else 1.0
         self.gram = loss is Loss.FRO and mask is None
         self._scratch = self.positions = self._quotient = self._sparse = None
+        self._frozen = None, None  # freeze's (f, what for_codes takes from f alone)
 
     def product(self, f, s):
         """W.(f @ s), formed in place: the product is fresh, and every large
@@ -197,14 +198,28 @@ class TermValue:
         pos, neg = self.parts(wz)
         return neg @ s.T, s.sum(axis=1)[None, :] if pos is None else pos @ s.T, value
 
+    def freeze(self, f):
+        """Forms once what for_codes takes from f alone, and keeps it for every
+        later call with this f, which must not change in place: f.T @ X and
+        f.T @ f under the Frobenius loss, the denominator under the divergence."""
+        if self.loss is Loss.FRO:
+            self._frozen = f, (f.T @ self.wx, f.T @ f)
+        else:
+            self._frozen = f, f.sum(axis=0)[:, None] if self.mask is None else f.T @ self.mask
+
     def for_codes(self, f, s):
         """Numerator f.T @ neg and denominator f.T @ pos (the column sums of f
         for an all-ones pos) of the codes' update with f fixed; for a gram
-        term, f.T @ X and (f.T @ f) @ s, with no product f @ s."""
+        term, f.T @ X and (f.T @ f) @ s, with no product f @ s. A frozen f's
+        part comes from freeze."""
+        frozen, kept = self._frozen[0] is f, self._frozen[1]
         if self.gram:
-            return f.T @ self.wx, (f.T @ f) @ s
+            ftx, ftf = kept if frozen else (f.T @ self.wx, f.T @ f)
+            return ftx, ftf @ s
         pos, neg = self.parts(self.product(f, s))
-        return f.T @ neg, f.sum(axis=0)[:, None] if pos is None else f.T @ pos
+        if self.loss is Loss.FRO:  # neg is W.X
+            return kept[0] if frozen else f.T @ neg, f.T @ pos
+        return f.T @ neg, kept if frozen else f.sum(axis=0)[:, None] if pos is None else f.T @ pos
 
     def __call__(self, wz) -> float:
         """The term's error at the masked product wz = W.Z, which is left as it is."""

@@ -63,12 +63,7 @@ def noise_pair(experiment: int, r: int):
     narrow = NoiseModel("gaussian", 1.0 / (2.0 * r))
     wide = NoiseModel("gaussian", 1.0)
     po = NoiseModel("poisson")
-    pairs = {
-        1: (wide, wide),
-        2: (narrow, po),
-        3: (po, narrow),
-        4: (po, po),
-    }
+    pairs = {1: (wide, wide), 2: (narrow, po), 3: (po, narrow), 4: (po, po)}
     if experiment not in pairs:
         raise ConfigError(f"experiment id must be in 1..4, got {experiment}")
     return pairs[experiment]
@@ -167,27 +162,17 @@ class ErrorGrid:
         """Index of the winning (lowest-error) variant per experiment."""
         return [int(np.argmin(self.means[:, j])) for j in range(self.means.shape[1])]
 
+    def _table(self, errors) -> dict:
+        """{variant: {"experiment_<id>": error}} of a variants x experiments array."""
+        return {v.key: {f"experiment_{e}": float(error) for e, error in zip(self.experiments, row)}
+                for v, row in zip(self.variants, errors)}
+
     def to_dict(self) -> dict:
         return {
             "experiments": [int(e) for e in self.experiments],
             "variants": [v.key for v in self.variants],
-            "means": {
-                v.key: {
-                    f"experiment_{e}": float(self.means[i, j])
-                    for j, e in enumerate(self.experiments)
-                }
-                for i, v in enumerate(self.variants)
-            },
-            "per_trial": [
-                {
-                    v.key: {
-                        f"experiment_{e}": float(self.per_trial[t, i, j])
-                        for j, e in enumerate(self.experiments)
-                    }
-                    for i, v in enumerate(self.variants)
-                }
-                for t in range(self.per_trial.shape[0])
-            ],
+            "means": self._table(self.means),
+            "per_trial": [self._table(trial) for trial in self.per_trial],
         }
 
     def to_csv(self, path) -> None:
@@ -239,12 +224,7 @@ def run_benchmark(
     columns = map_jobs(_trial_column, jobs, workers)
     # jobs run experiment-major; per_trial is trials x variants x experiments
     per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)
-    return ErrorGrid(
-        experiments=list(experiments),
-        variants=list(VARIANTS),
-        means=per_trial.mean(axis=0),
-        per_trial=per_trial,
-    )
+    return ErrorGrid(list(experiments), list(VARIANTS), per_trial.mean(axis=0), per_trial)
 
 
 def gen_separable(

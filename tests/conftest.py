@@ -1,6 +1,7 @@
 """Checks that hold for the whole suite."""
 
 import multiprocessing
+from concurrent.futures import Future
 
 import pytest
 
@@ -28,4 +29,32 @@ def real_pool_sizes(monkeypatch):
 
     monkeypatch.setattr(jobs, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: 2)
+    return sizes
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stands a recorder in for the process pool on a 4-CPU machine: each
+    pool's max_workers is appended, and its jobs run in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            # every pool's workers watch for their parent's end
+            assert initializer is jobs._exit_with_parent
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
     return sizes

@@ -8,7 +8,7 @@ import pytest
 
 from ssnmf import classify, jobs, matrix
 from ssnmf.exceptions import FitError, ParseError, ShapeError
-from ssnmf.objectives import VARIANTS, ModelVariant, frobenius_sq, i_divergence
+from ssnmf.objectives import VARIANTS, ModelVariant, TermValue, frobenius_sq, i_divergence
 from ssnmf.rng import substream
 from ssnmf.solver import SsnmfConfig
 from ssnmf.synth import gen_separable
@@ -144,7 +144,8 @@ def test_transform_block_edges(n2):
 def test_transform_codes_are_the_same_bytes_on_any_number_of_processes(variant, masked,
                                                                        monkeypatch,
                                                                        real_pool_sizes):
-    # with OPENBLAS_NUM_THREADS=1 the default workers are the stubbed usable CPUs
+    # the default workers are the stubbed usable CPUs, with OPENBLAS_NUM_THREADS=1
+    # also where numpy's OpenBLAS thread count setter is not found
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(8)
     model = classify.ClassifierModel(rng.random((20, 3)) + 0.1, np.ones((2, 3)), variant,
@@ -162,8 +163,26 @@ def test_transform_codes_are_the_same_bytes_on_any_number_of_processes(variant, 
     assert real_pool_sizes == [1, 1, 1, 2]
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_codes_match_a_recomputation_of_the_frozen_factor_terms(variant, masked,
+                                                                           monkeypatch):
+    # transform freezes A; forming its part of every update again must give
+    # the same bytes
+    rng = np.random.default_rng(4)
+    model = classify.ClassifierModel(rng.random((20, 3)) + 0.1, np.ones((2, 3)), variant,
+                                     SsnmfConfig(r=3, seed=2))
+    for n2 in (1, 128, 129):
+        x = rng.random((20, n2)) * (rng.random((20, n2)) < 0.5)
+        w = (rng.random((20, n2)) < 0.8).astype(float) if masked else None
+        kept = classify.transform(model, x, w_test=w, iters=15)
+        with monkeypatch.context() as patch:
+            patch.setattr(TermValue, "freeze", lambda term, f: None)
+            assert classify.transform(model, x, w_test=w, iters=15).tobytes() == kept.tobytes()
+
+
 def test_transform_fit_error_from_a_pooled_block(monkeypatch, real_pool_sizes):
-    # the overflowing column is in the last of 3 blocks
+    # the overflowing column is in the last of 3 blocks, one process each
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(3)
     model = classify.ClassifierModel(rng.random((30, 3)) + 0.1, np.ones((2, 3)),
@@ -172,7 +191,7 @@ def test_transform_fit_error_from_a_pooled_block(monkeypatch, real_pool_sizes):
     x[:, 250] = 1e308
     with pytest.raises(FitError, match="^transform codes are not finite after 20 iterations$"):
         classify.transform(model, x, iters=20)
-    assert real_pool_sizes == [1]
+    assert real_pool_sizes == [2]
 
 
 def test_predict_shape_check():

@@ -614,8 +614,9 @@ def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, monkey
 
 def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_inputs, monkeypatch,
                                                         real_pool_sizes):
-    # with OPENBLAS_NUM_THREADS=1 on 2 CPUs the default pools the lambdas; on
-    # 1 CPU they run here. numpy read its BLAS thread count at import.
+    # on 2 CPUs the default runs the 3 lambdas on 3 processes; on 1 CPU they
+    # run here. OPENBLAS_NUM_THREADS=1 makes the default the usable CPUs
+    # where numpy's OpenBLAS thread count setter is not found as well.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     trees = {}
     for name, cpus in (("pooled", 2), ("serial", 1)):
@@ -625,7 +626,7 @@ def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_input
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [1]
+    assert real_pool_sizes == [2]
     assert set(trees["serial"]) == {os.path.join("out", "predictions.csv"),
                                     os.path.join("out", "report.json"),
                                     *(os.path.join("model", f)
@@ -635,8 +636,9 @@ def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_input
 
 def test_classify_grid_pools_the_grid_and_the_test_transform_only(tmp_path, monkeypatch,
                                                                     real_pool_sizes):
-    # 140 test and 130 validation columns are 2 transform blocks each; the
-    # validation transforms run inside the lambda jobs, so they run in place
+    # 3 lambda jobs on 2 CPUs run on 3 processes; 140 test and 130 validation
+    # columns are 2 transform blocks each, and the validation transforms run
+    # inside the lambda jobs, so they run in place
     x, y, _ = gen_separable(3, 100, seed=7)
     order = substream(1, "cli-split").permutation(x.shape[1])
     inputs = {}
@@ -660,7 +662,7 @@ def test_classify_grid_pools_the_grid_and_the_test_transform_only(tmp_path, monk
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [1, 1]
+    assert real_pool_sizes == [2, 1]
     assert built.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
     assert trees["pooled"] == trees["serial"]
 
@@ -679,7 +681,7 @@ def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classif
         seen.append(cli.main(classify_argv(classify_inputs, "--grid", "--out-dir", str(out))))
         seen.append(capsys.readouterr().err)
         assert not out.exists()
-    assert real_pool_sizes == [1]
+    assert real_pool_sizes == [2]
     assert seen == [1, "error: objective is inf at initialization\n"] * 2
 
 
@@ -768,9 +770,9 @@ def test_synth_bench_rerun_is_byte_identical(tmp_path):
 
 def test_synth_bench_default_workers_write_what_one_worker_writes(tmp_path, monkeypatch,
                                                                   real_pool_sizes):
-    # with OPENBLAS_NUM_THREADS=1 on 2 CPUs the default pools the 2 jobs. This
-    # checks the pool size and the output bytes, not BLAS pinning: numpy read
-    # its BLAS thread count when it was imported, before this setenv.
+    # on 2 CPUs the default runs the 2 jobs on 2 processes; OPENBLAS_NUM_THREADS=1
+    # makes the default the usable CPUs where numpy's OpenBLAS thread count
+    # setter is not found as well. BLAS pinning is checked by test_jobs.py.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     args = ["synth-bench", "--experiment", "2", "--n1", "8", "--n2", "10",
             "--k", "6", "--r", "2", "--max-iters", "25", "--trials", "2",
