@@ -73,9 +73,9 @@ def grid_search(x_train, y_train, x_val, y_val, variant: ModelVariant, config: S
     A validation split unlike the training set is a ShapeError before any fit.
     """
     _check_split(x_train, y_train, x_val, y_val, "val")
-    jobs = [(replace(config, lam=lam), GRID_TOLS) for lam in GRID_LAMBDAS]
-    shared = (x_train, y_train, x_val, y_val, w_train, variant, iters)
-    per_lam = dict(zip(GRID_LAMBDAS, map_jobs(_grid_lam, jobs, shared=shared)))
+    jobs = [(x_train, y_train, x_val, y_val, w_train, variant, iters, replace(config, lam=lam),
+             GRID_TOLS) for lam in GRID_LAMBDAS]
+    per_lam = dict(zip(GRID_LAMBDAS, map_jobs(_grid_lam, jobs)))
     rows = [{"tol": tol, "lam": lam, "val_accuracy": per_lam[lam][tol][1]}
             for tol in GRID_TOLS for lam in GRID_LAMBDAS]
     best = max(rows, key=lambda row: row["val_accuracy"])  # the first of equals
@@ -146,9 +146,10 @@ def transform(
     w_test = matrix.as_mask(w_test, x_test, "w_test", "x_test")
     s = _uniform(substream(model.config.seed, "transform"), (a.shape[1], x_test.shape[1]))
     blocks = max(1, -(-x_test.shape[1] // TRANSFORM_BLOCK))  # 0 columns: one empty block
-    jobs = list(zip(*([None] * blocks if m is None else np.array_split(m, blocks, axis=1)
-                      for m in (s, x_test, w_test))))
-    s = np.hstack(map_jobs(_transform_block, jobs, shared=(model, iters)))
+    jobs = [(model, iters, *block) for block in zip(
+        *([None] * blocks if m is None else np.array_split(m, blocks, axis=1)
+          for m in (s, x_test, w_test)))]
+    s = np.hstack(map_jobs(_transform_block, jobs))
     if not np.all(np.isfinite(s)):
         raise FitError(f"transform codes are not finite after {iters} iterations")
     return s

@@ -84,7 +84,6 @@ OPTIONS = {
         "lam": (float, 1.0, None),
         "max_iters": (int, 20000, None),
         "trials": (int, 5, None),
-        "workers": (int, None, "CPUs for the (experiment, trial) jobs; default: usable CPUs"),
         **_EPS, **_SEED, **_OUT_DIR,
     },
     "prep": {
@@ -257,7 +256,7 @@ def cmd_synth_bench(args) -> int:
     all_ids = opts["experiment"] == "all"
     experiments = list(synth.EXPERIMENT_IDS) if all_ids else [int(opts["experiment"])]
     base = _build(synth.ExperimentSpec, {**opts, "experiment": experiments[0]})
-    grid = synth.run_benchmark(base, experiments, workers=opts["workers"])
+    grid = synth.run_benchmark(base, experiments)
     out_dir = _out_dir(opts)
     grid.to_csv(os.path.join(out_dir, "errorgrid.csv"))
     minima = grid.column_minima()

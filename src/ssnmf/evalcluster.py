@@ -81,11 +81,12 @@ def top_keywords(a, vocab, count: int = 10) -> list:
 
     vocab may be a Vocabulary or a plain term sequence; count must be at
     least 1, and a count larger than the vocabulary returns the full ordering.
+    An entry of a that is negative, NaN or infinite is a ShapeError.
     """
     if not count >= 1:
         raise EvaluationError(f"count must be >= 1, got {count}")
     terms = list(getattr(vocab, "terms", vocab))
-    a = matrix.as_matrix(a, "a")
+    a = matrix.check_nonnegative(matrix.as_matrix(a, "a"), "a")
     if a.shape[0] != len(terms):
         raise ShapeError(f"a has {a.shape[0]} rows but vocabulary has {len(terms)} terms")
     count = min(count, len(terms))

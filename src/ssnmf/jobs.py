@@ -8,15 +8,13 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .exceptions import ConfigError
-
 # jobs per CPU from which a map runs one process per CPU; below it, one process per job, so no
 # CPU idles through a last round that one process runs alone. On 2 CPUs, 1 BLAS thread each,
 # text-grid's classify --grid took 0.52 s with its 3 lambda jobs on 3 processes, 0.56 s on 2,
 # and its test transform's 6 blocks 123 ms on 2 processes, 152 ms on 6 (medians of 8 runs)
 JOBS_PER_CPU = 2
 
-# map_jobs' (counter, func, jobs, shared) while this process works on its jobs
+# map_jobs' (counter, func, jobs) while this process works on its jobs
 _running = []
 # [numpy's OpenBLAS (set, get) thread count functions, or None], once looked up
 _blas = []
@@ -49,12 +47,13 @@ def _blas_threads():
     return _blas[0]
 
 
-def default_workers() -> int:
-    """The usable CPUs where numpy's OpenBLAS is found, since map_jobs then
-    runs BLAS on one thread in every process. Elsewhere usable CPUs // BLAS
-    threads per process, at least 1: OpenBLAS takes OPENBLAS_NUM_THREADS,
-    else OMP_NUM_THREADS, else every usable CPU, read once, when numpy is
-    imported; an MKL-built numpy ignores OPENBLAS_NUM_THREADS."""
+def _cpus() -> int:
+    """The CPUs map_jobs runs on: the usable CPUs where numpy's OpenBLAS is
+    found, since map_jobs then runs BLAS on one thread in every process.
+    Elsewhere usable CPUs // BLAS threads per process, at least 1: OpenBLAS
+    takes OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every usable CPU,
+    read once, when numpy is imported; an MKL-built numpy ignores
+    OPENBLAS_NUM_THREADS."""
     if _blas_threads():
         return _usable_cpus()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -83,7 +82,7 @@ def _exit_with_parent(*running) -> None:
 
 def _take_jobs() -> list:
     """(index, ok, result or exception) of each next job, until none is left."""
-    counter, func, jobs, shared = _running
+    counter, func, jobs = _running
     done = []
     while True:
         with counter.get_lock():
@@ -91,30 +90,27 @@ def _take_jobs() -> list:
         if i >= len(jobs):
             return done
         try:
-            done.append((i, True, func(*shared, *jobs[i])))
+            done.append((i, True, func(*jobs[i])))
         except Exception as exc:  # raised by map_jobs, in job order
             done.append((i, False, exc))
 
 
-def map_jobs(func, jobs: list, workers: int | None = None, shared: tuple = ()) -> list:
-    """[func(*shared, *job) for job in jobs], with BLAS on one thread in
-    every process; workers, CPUs to use, defaults to default_workers().
+def map_jobs(func, jobs: list) -> list:
+    """[func(*job) for job in jobs], with BLAS on one thread in every process.
 
-    On C = min(workers, usable CPUs), a map of at least JOBS_PER_CPU * C jobs
-    runs on C processes, a smaller one on one process per job, and any map
-    runs here alone when that is 1 process. This process is one of them, and
-    the pool of the others gets the jobs and shared operands through its
-    initializer; each process takes the next job from one shared counter
+    On C = _cpus(), a map of at least JOBS_PER_CPU * C jobs runs on C
+    processes, a smaller one on one process per job, and any map runs here
+    alone when that is 1 process. This process is one of them, and the pool
+    of the others gets the job list through its initializer, inherited at
+    fork or pickled once per process, so an operand that several jobs hold
+    travels once; each process takes the next job from one shared counter
     until none is left. A map inside a job runs in place. This process's
     BLAS thread count is restored when the map returns. func must be
     importable by name and a job's result must depend on its arguments
     alone. When jobs fail, the first failing job in job order raises, as
     when they all run here.
     """
-    workers = default_workers() if workers is None else workers
-    if not workers >= 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    cpus = min(workers, _usable_cpus())
+    cpus = _cpus()
     processes = cpus if len(jobs) >= JOBS_PER_CPU * cpus else len(jobs)
     blas = _blas_threads()
     if blas:
@@ -122,8 +118,8 @@ def map_jobs(func, jobs: list, workers: int | None = None, shared: tuple = ()) -
         blas[0](1)
     try:
         if processes <= 1 or _running:
-            return [func(*shared, *job) for job in jobs]
-        _running[:] = (multiprocessing.Value("q", 0), func, jobs, shared)
+            return [func(*job) for job in jobs]
+        _running[:] = (multiprocessing.Value("q", 0), func, jobs)
         try:
             with ProcessPoolExecutor(processes - 1, initializer=_exit_with_parent,
                                      initargs=tuple(_running)) as pool:

@@ -211,17 +211,13 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
     return errors
 
 
-def run_benchmark(
-    base: ExperimentSpec,
-    experiments: Sequence[int] = EXPERIMENT_IDS,
-    workers: int | None = None,
-) -> ErrorGrid:
+def run_benchmark(base: ExperimentSpec, experiments: Sequence[int] = EXPERIMENT_IDS) -> ErrorGrid:
     """Every trial of every experiment, with base's knobs, on jobs.map_jobs's
     processes. Each (experiment, trial) job draws from its own substreams, so
-    the grid is the same bit for bit whatever the workers.
+    the grid is the same bit for bit on any number of processes.
     """
     jobs = [(replace(base, experiment=e), t) for e in experiments for t in range(base.trials)]
-    columns = map_jobs(_trial_column, jobs, workers)
+    columns = map_jobs(_trial_column, jobs)
     # jobs run experiment-major; per_trial is trials x variants x experiments
     per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)
     return ErrorGrid(list(experiments), list(VARIANTS), per_trial.mean(axis=0), per_trial)

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 from dataclasses import replace
 
@@ -144,7 +145,7 @@ def test_transform_block_edges(n2):
 def test_transform_codes_are_the_same_bytes_on_any_number_of_processes(variant, masked,
                                                                        monkeypatch,
                                                                        real_pool_sizes):
-    # the default workers are the stubbed usable CPUs, with OPENBLAS_NUM_THREADS=1
+    # the map's CPUs are the stubbed usable CPUs, with OPENBLAS_NUM_THREADS=1
     # also where numpy's OpenBLAS thread count setter is not found
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(8)
@@ -266,6 +267,44 @@ def test_grid_search_equals_train_at_the_chosen_pair(variant, monkeypatch):
         for got, ref in zip((model.a_train, model.b_train, result.state.s),
                             (want_model.a_train, want_model.b_train, want.state.s)):
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.fixture
+def recorded_maps(monkeypatch):
+    """Stands a recorder in for classify's job map: it runs the jobs here and
+    keeps each map's job list."""
+    maps = []
+
+    def record(func, jobs):
+        maps.append(jobs)
+        return [func(*job) for job in jobs]
+
+    monkeypatch.setattr(classify, "map_jobs", record)
+    return maps
+
+
+def test_grid_jobs_pickle_their_shared_operands_once(recorded_maps):
+    # a pool gets the job list pickled once per process under spawn or
+    # forkserver, and pickle writes an object once however many jobs hold it;
+    # a job that copied or transposed an operand would pickle it again
+    x, y, _ = gen_separable(classes=3, per_class=60, seed=6)
+    operands = (x[:, :120], y[:, :120], x[:, 120:], y[:, 120:])
+    classify.grid_search(*operands, ModelVariant.DIV_FRO, SsnmfConfig(r=3, max_iters=5), iters=5)
+    grid = recorded_maps[0]  # the validation transforms' maps run inside its jobs
+    assert len(grid) == len(classify.GRID_LAMBDAS)
+    assert len(pickle.dumps(grid)) < 1.1 * len(pickle.dumps(operands))
+
+
+def test_transform_jobs_pickle_the_data_and_start_codes_once(recorded_maps):
+    rng = np.random.default_rng(6)
+    model = classify.ClassifierModel(rng.random((20, 3)) + 0.1, np.ones((2, 3)),
+                                     ModelVariant.DIV_FRO, SsnmfConfig(r=3, seed=2))
+    x = rng.random((20, 3 * classify.TRANSFORM_BLOCK - 40))
+    classify.transform(model, x, iters=5)
+    [blocks] = recorded_maps
+    assert len(blocks) == 3
+    # the start codes are r x n2 float64, so any such array pickles to their size
+    assert len(pickle.dumps(blocks)) < 1.1 * len(pickle.dumps((x, np.zeros((3, x.shape[1])))))
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -1,7 +1,9 @@
 import argparse
 import json
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,14 +244,26 @@ def test_config_value_of_wrong_type_exits_two(tmp_path, command, key, value, mes
     assert not out.exists()
 
 
-def _subcommand_flags():
-    """Subcommand name -> the option flags its parser accepts, apart from the
-    ones that are not options of the run."""
+def _subcommand_flags(skip=("--config", "--no-timestamp", "--help", "-h")):
+    """Subcommand name -> the option flags its parser accepts, apart from
+    skip, by default the ones that are not options of the run."""
     parser = cli.build_parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    skip = {"--config", "--no-timestamp", "--help", "-h"}
-    return {name: {flag for action in sub._actions for flag in action.option_strings} - skip
+    return {name: {flag for action in sub._actions for flag in action.option_strings} - set(skip)
             for name, sub in subs.choices.items()}
+
+
+# flags README.md names that belong to other tools
+OTHER_TOOLS_FLAGS = {"--no-build-isolation"}  # pip's
+
+
+def test_every_flag_the_readme_names_is_a_subcommand_flag():
+    # apart from its "Removed names" section, which names flags that are gone
+    flags = set().union(*_subcommand_flags(skip=()).values())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = [part for part in readme.split("\n## ") if not part.startswith("Removed names")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(sections)))
+    assert named - flags - OTHER_TOOLS_FLAGS == set()
 
 
 def test_flags_and_config_keys_agree(tmp_path, capsys):
@@ -276,7 +290,6 @@ def test_flags_and_config_keys_agree(tmp_path, capsys):
     (["fit", "--lam", "nan"], "lam must be finite"),
     (["synth-bench", "--eps", "-1"], "eps must be finite and positive"),
     (["synth-bench", "--n1", "0"], "n1 must be finite and >= 1"),
-    (["synth-bench", "--workers", "0"], "workers must be >= 1"),
 ])
 def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv, message,
                                                      capsys):
@@ -291,27 +304,22 @@ def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value,flag_error,config_error", [
-    (0, "error: workers must be >= 1, got 0", "error: workers must be >= 1, got 0"),
-    (-1, "error: workers must be >= 1, got -1", "error: workers must be >= 1, got -1"),
-    (2.5, "ssnmf synth-bench: error: argument --workers: invalid int value: '2.5'",
-     "error: workers must be an integer, got 2.5"),
-])
 @pytest.mark.parametrize("in_config", [False, True])
-def test_workers_below_one_or_fractional_exits_two(tmp_path, capsys, value, flag_error,
-                                                   config_error, in_config):
+def test_removed_workers_option_exits_two(tmp_path, capsys, in_config):
     argv = ["synth-bench", "--experiment", "1", "--n2", "6", "--k", "4", "--r", "2",
             "--max-iters", "3", "--trials", "2"]
     if in_config:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": value}))
+        cfg.write_text(json.dumps({"workers": 2}))
         argv += ["--config", str(cfg)]
     else:
-        argv += ["--workers", str(value)]
+        argv += ["--workers", "2"]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out-dir", str(out)]) == 2
-    want = config_error if in_config else flag_error
-    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [want]
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith("error: unknown config fields: workers" if in_config
+                              else "error: unrecognized arguments: --workers 2")
     assert not out.exists()
 
 
@@ -614,9 +622,9 @@ def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, monkey
 
 def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_inputs, monkeypatch,
                                                         real_pool_sizes):
-    # on 2 CPUs the default runs the 3 lambdas on 3 processes; on 1 CPU they
-    # run here. OPENBLAS_NUM_THREADS=1 makes the default the usable CPUs
-    # where numpy's OpenBLAS thread count setter is not found as well.
+    # on 2 CPUs the map runs the 3 lambdas on 3 processes; on 1 CPU they run
+    # here. OPENBLAS_NUM_THREADS=1 makes its CPUs the usable CPUs where
+    # numpy's OpenBLAS thread count setter is not found as well.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     trees = {}
     for name, cpus in (("pooled", 2), ("serial", 1)):
@@ -768,18 +776,18 @@ def test_synth_bench_rerun_is_byte_identical(tmp_path):
     assert tree_bytes(out1) == tree_bytes(out2)
 
 
-def test_synth_bench_default_workers_write_what_one_worker_writes(tmp_path, monkeypatch,
-                                                                  real_pool_sizes):
-    # on 2 CPUs the default runs the 2 jobs on 2 processes; OPENBLAS_NUM_THREADS=1
-    # makes the default the usable CPUs where numpy's OpenBLAS thread count
+def test_synth_bench_pooled_writes_what_one_cpu_writes(tmp_path, monkeypatch, real_pool_sizes):
+    # on 2 CPUs the map runs the 2 jobs on 2 processes; OPENBLAS_NUM_THREADS=1
+    # makes its CPUs the usable CPUs where numpy's OpenBLAS thread count
     # setter is not found as well. BLAS pinning is checked by test_jobs.py.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     args = ["synth-bench", "--experiment", "2", "--n1", "8", "--n2", "10",
             "--k", "6", "--r", "2", "--max-iters", "25", "--trials", "2",
             "--no-timestamp"]
-    pooled, serial = tmp_path / "default", tmp_path / "one"
+    pooled, serial = tmp_path / "pooled", tmp_path / "one"
     assert cli.main(args + ["--out-dir", str(pooled)]) == 0
-    assert cli.main(args + ["--workers", "1", "--out-dir", str(serial)]) == 0
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
+    assert cli.main(args + ["--out-dir", str(serial)]) == 0
     assert real_pool_sizes == [1]
     assert set(tree_bytes(pooled)) == {"errorgrid.csv", "report.json"}
     assert tree_bytes(pooled) == tree_bytes(serial)
@@ -929,6 +937,20 @@ def test_topics_count_below_one_exits_two(tmp_path, count, capsys):
                      "--count", count, "--out-dir", str(out)])
     assert code == 2
     assert "count must be >= 1" in capsys.readouterr().err
+
+
+def test_topics_non_finite_or_negative_dictionary_exits_two(tmp_path, capsys):
+    a = tmp_path / "A.csv"
+    a.write_text("1,nan\n2,0.5\ninf,-3\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("alpha\nbeta\ngamma\n")
+    out = tmp_path / "out"
+    code = cli.main(["topics", "--a", str(a), "--vocab", str(vocab),
+                     "--count", "2", "--out-dir", str(out)])
+    assert code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+        "error: a must be entrywise finite and nonnegative, found nan at (0, 1)"]
+    assert not (out / "topics.json").exists()
 
 
 def test_topics_requires_both_inputs(tmp_path):

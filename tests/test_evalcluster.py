@@ -103,6 +103,13 @@ def test_top_keywords_rejects_count_below_one(count):
         evalcluster.top_keywords(np.array([[1.0], [2.0]]), FakeVocab(["x", "y"]), count=count)
 
 
+def test_top_keywords_rejects_a_non_finite_or_negative_dictionary():
+    a = np.array([[1.0, np.nan], [2.0, 0.5], [np.inf, -3.0]])
+    with pytest.raises(ShapeError, match=r"^a must be entrywise finite and nonnegative, "
+                                         r"found nan at \(0, 1\)$"):
+        evalcluster.top_keywords(a, FakeVocab(["alpha", "beta", "gamma"]), count=2)
+
+
 def test_top_keywords_count_capped_at_vocab_size():
     a = np.array([[1.0], [2.0]])
     got = evalcluster.top_keywords(a, FakeVocab(["x", "y"]), count=10)

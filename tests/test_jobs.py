@@ -1,11 +1,14 @@
-"""jobs.map_jobs: how many processes a map runs, and BLAS on one thread in each."""
+"""jobs.map_jobs: how many processes a map runs, which process runs which
+job, BLAS on one thread in each, and pool processes that end with their parent."""
 
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -18,28 +21,29 @@ needs_blas_setter = pytest.mark.skipif(jobs._blas_threads() is None,
                                        reason="numpy's OpenBLAS thread count setter is not found")
 
 
-@pytest.mark.parametrize("cpus, workers, count, expected", [
-    (4, 4, 5, [4]),  # C < J < 2C: one process per job
-    (4, 4, 7, [6]),
-    (4, 4, 8, [3]),  # J >= 2C: one process per CPU
-    (4, 4, 10000, [3]),
-    (4, 4, 4, [3]),
-    (4, 4, 2, [1]),
-    (8, 3, 5, [4]),  # C is the smaller of workers and the usable CPUs
-    (8, 3, 6, [2]),
-    (2, 8, 3, [2]),
-    (2, 8, 4, [1]),
-    (4, 4, 1, []),
-    (4, 4, 0, []),
-    (1, 4, 3, []),  # C = 1: no pool
-    (4, 1, 3, []),
+@pytest.mark.parametrize("cpus, count, expected", [
+    (4, 5, [4]),  # C < J < 2C: one process per job
+    (4, 7, [6]),
+    (4, 8, [3]),  # J >= 2C: one process per CPU
+    (4, 10000, [3]),
+    (4, 4, [3]),
+    (4, 2, [1]),
+    (3, 5, [4]),
+    (3, 6, [2]),
+    (2, 3, [2]),
+    (2, 4, [1]),
+    (4, 1, []),
+    (4, 0, []),
+    (1, 3, []),  # C = 1: no pool
 ])
-def test_pool_size_follows_the_jobs_per_cpu(pool_sizes, monkeypatch, cpus, workers, count,
-                                             expected):
+def test_pool_size_follows_the_jobs_per_cpu(pool_sizes, monkeypatch, cpus, count, expected):
+    # OPENBLAS_NUM_THREADS=1 makes C the usable CPUs also where numpy's
+    # OpenBLAS thread count setter is not found
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: cpus)
-    assert jobs.map_jobs(abs, [(-i,) for i in range(count)], workers) == list(range(count))
+    assert jobs.map_jobs(abs, [(-i,) for i in range(count)]) == list(range(count))
     assert pool_sizes == expected
-    assert all(size < jobs.JOBS_PER_CPU * min(cpus, workers) for size in pool_sizes)
+    assert all(size < jobs.JOBS_PER_CPU * cpus for size in pool_sizes)
 
 
 def record_call(calls, i):
@@ -50,7 +54,7 @@ def record_call(calls, i):
 @pytest.mark.parametrize("count", [3, 5, 9])
 def test_every_job_runs_once_and_returns_in_job_order(pool_sizes, count):
     calls = []
-    assert jobs.map_jobs(record_call, [(i,) for i in range(count)], shared=(calls,)) == [
+    assert jobs.map_jobs(record_call, [(calls, i) for i in range(count)]) == [
         i * i for i in range(count)]
     assert sorted(calls) == list(range(count))
 
@@ -69,25 +73,180 @@ def test_a_real_three_job_map_on_two_cpus_leaves_no_process_running(real_pool_si
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads", [None, "1", "2"])
+def test_a_map_pools_every_cpu_whatever_the_blas_threads(pool_sizes, monkeypatch, threads):
+    # every process of a map runs BLAS on one thread, so the environment's
+    # thread count does not divide the CPUs
+    if jobs._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count setter is not found")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if threads:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    jobs.map_jobs(abs, [(-i,) for i in range(4)])
+    assert pool_sizes == [3]
+
+
+def test_unpinned_blas_runs_the_jobs_in_process_without_the_blas_setter(pool_sizes,
+                                                                         monkeypatch):
+    monkeypatch.setattr(jobs, "_blas_threads", lambda: None)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    jobs.map_jobs(abs, [(-i,) for i in range(4)])
+    assert pool_sizes == []
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    jobs.map_jobs(abs, [(-i,) for i in range(4)])
+    assert pool_sizes == [3]
+
+
+@pytest.fixture
+def pool_holds_a_job(monkeypatch):
+    """Stands a thread in for each pool process on a 2-CPU machine: the first
+    takes the first job, and each holds its jobs until this process asks for
+    the pool's results. Returns hold(), which each job calls first: True,
+    after the hold, in a pool thread, and False here."""
+    taken, release = threading.Event(), threading.Event()
+
+    class HeldFuture(Future):
+        def result(self, timeout=None):
+            release.set()
+            return super().result(timeout)
+
+    class SlowPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.threads = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            for thread in self.threads:
+                thread.join(10)
+            return False
+
+        def submit(self, fn):
+            future = HeldFuture()
+            self.threads.append(threading.Thread(target=lambda: future.set_result(fn())))
+            self.threads[-1].start()
+            assert taken.wait(10)
+            return future
+
+    def hold():
+        if threading.current_thread() is threading.main_thread():
+            return False
+        taken.set()
+        assert release.wait(10)
+        return True
+
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", SlowPool)
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return hold
+
+
+def test_map_jobs_runs_here_every_job_but_the_one_the_pool_holds(pool_holds_a_job):
+    ran = []
+
+    def job(i):
+        if pool_holds_a_job():
+            return ("pool", i)
+        ran.append(i)
+        return i * i
+
+    assert jobs.map_jobs(job, [(i,) for i in range(5)]) == [("pool", 0), 1, 4, 9, 16]
+    assert ran == [1, 2, 3, 4]
+
+
+def test_map_jobs_raises_a_held_failure_before_a_later_one(pool_holds_a_job):
+    # the pool's job 0 fails after this process has failed job 2
+    def job(text):
+        pool_holds_a_job()
+        return int(text)
+
+    with pytest.raises(ValueError, match="'x'"):
+        jobs.map_jobs(job, [("x",), ("1",), ("y",)])
+
+
+def test_map_jobs_raises_the_first_failing_job_in_job_order(monkeypatch, real_pool_sizes):
+    # 3 jobs on 2 CPUs run on 3 processes, so job 1 or 2 may fail first
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with pytest.raises(ValueError, match="'x'"):
+        jobs.map_jobs(int, [("1",), ("x",), ("y",)])
+    assert real_pool_sizes == [2]
+
+
+def test_map_jobs_runs_each_job_once_on_more_processes_than_cores(monkeypatch,
+                                                                  real_pool_sizes):
+    # 4 processes share one job counter on a stubbed 4-CPU machine: a lost
+    # update would run a job twice or skip one, and change the result's length
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
+    assert jobs.map_jobs(abs, [(-i,) for i in range(20000)]) == list(range(20000))
+    assert real_pool_sizes == [3]
+
+
+ENVIRONMENTS = [
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 8, 1),
+    ({"OMP_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 8),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 2),
+]
+
+
+def set_environment(monkeypatch, env, cpus):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("env, cpus, expected", ENVIRONMENTS)
+def test_cpus_without_the_blas_setter_are_usable_cpus_over_blas_threads(monkeypatch, env, cpus,
+                                                                        expected):
+    monkeypatch.setattr(jobs, "_blas_threads", lambda: None)
+    set_environment(monkeypatch, env, cpus)
+    assert jobs._cpus() == expected
+
+
+@pytest.mark.parametrize("env, cpus, _", ENVIRONMENTS)
+def test_cpus_with_the_blas_setter_are_the_usable_cpus(monkeypatch, env, cpus, _):
+    monkeypatch.setattr(jobs, "_blas_threads", lambda: ("set", "get"))
+    set_environment(monkeypatch, env, cpus)
+    assert jobs._cpus() == cpus
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert jobs._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert jobs._usable_cpus() == 3
+
+
 def blas_thread_count(_):
     return jobs._blas_threads()[1]()
 
 
 @needs_blas_setter
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_every_job_runs_blas_on_one_thread_and_this_process_gets_its_count_back(
-        real_pool_sizes, workers):
+        monkeypatch, real_pool_sizes, cpus):
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: cpus)
     set_threads, get_threads = jobs._blas_threads()
     before = get_threads()
     set_threads(2)
     try:
-        counts = jobs.map_jobs(blas_thread_count, [(i,) for i in range(3)], workers)
+        counts = jobs.map_jobs(blas_thread_count, [(i,) for i in range(3)])
         after = get_threads()
     finally:
         set_threads(before)
     assert counts == [1, 1, 1]
     assert after == 2
-    assert real_pool_sizes == ([2] if workers == 2 else [])
+    assert real_pool_sizes == ([2] if cpus == 2 else [])
 
 
 @needs_blas_setter
@@ -107,6 +266,31 @@ def test_a_pool_worker_runs_blas_on_one_thread(monkeypatch, method):
         set_threads(before)
 
 
+WORKER_OF_A_PARENT = """
+import os, time
+from concurrent.futures import ProcessPoolExecutor
+from ssnmf import jobs
+pool = ProcessPoolExecutor(1, initializer=jobs._exit_with_parent)
+print(pool.submit(os.getpid).result(), flush=True)
+pool.submit(time.sleep, 600)
+time.sleep(600)
+"""
+
+
+def test_pool_worker_exits_when_its_parent_is_killed():
+    parent = subprocess.Popen([sys.executable, "-c", WORKER_OF_A_PARENT],
+                              stdout=subprocess.PIPE, text=True)
+    worker = int(parent.stdout.readline())
+    parent.kill()
+    try:
+        # the worker holds its parent's stdout open until it exits
+        parent.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.kill(worker, signal.SIGKILL)
+        parent.communicate()
+        pytest.fail(f"pool worker {worker} outlived its killed parent")
+
+
 SYNTH_BENCH = """
 import json, sys
 from ssnmf import cli, jobs
@@ -116,8 +300,8 @@ class RecordingPool(jobs.ProcessPoolExecutor):
         sizes.append(max_workers)
         super().__init__(max_workers, **kwargs)
 jobs.ProcessPoolExecutor = RecordingPool
-jobs._usable_cpus = lambda: 2
-code = cli.main(sys.argv[1:])
+jobs._usable_cpus = lambda: int(sys.argv[1])
+code = cli.main(sys.argv[2:])
 print(json.dumps([code, sizes]))
 """
 
@@ -135,12 +319,12 @@ def test_synth_bench_writes_the_same_bytes_at_any_blas_setting(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         if threads:
             env["OPENBLAS_NUM_THREADS"] = threads
-        for workers in ([], ["--workers", "1"]):
-            out = tmp_path / f"{threads}-{len(workers)}"
-            run = subprocess.run([sys.executable, "-c", SYNTH_BENCH, *args, *workers,
+        for cpus in (2, 1):
+            out = tmp_path / f"{threads}-{cpus}"
+            run = subprocess.run([sys.executable, "-c", SYNTH_BENCH, str(cpus), *args,
                                   "--out-dir", str(out)],
                                  env=env, capture_output=True, text=True, timeout=120)
-            assert json.loads(run.stdout.splitlines()[-1]) == [0, [] if workers else [2]]
-            outputs[threads, bool(workers)] = tuple(
+            assert json.loads(run.stdout.splitlines()[-1]) == [0, [2] if cpus == 2 else []]
+            outputs[threads, cpus] = tuple(
                 (out / name).read_bytes() for name in ("errorgrid.csv", "report.json"))
     assert len(set(outputs.values())) == 1

@@ -1,14 +1,8 @@
 import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-import threading
 
 import numpy as np
 import pytest
 
-from concurrent.futures import Future
 from dataclasses import replace
 
 from ssnmf import jobs, objectives, synth
@@ -172,210 +166,34 @@ def test_benchmark_smoke_and_determinism():
     assert grid1.means[:, 0] == pytest.approx(grid1.per_trial[:, :, 0].mean(axis=0))
 
 
-def test_parallel_jobs_match_serial_bit_for_bit(real_pool_sizes):
-    # three workers for 2 experiments x 2 trials: more workers than trials
-    serial = synth.run_benchmark(tiny_spec(), (1, 3), workers=1)
-    parallel = synth.run_benchmark(tiny_spec(), (1, 3), workers=3)
+def test_parallel_jobs_match_serial_bit_for_bit(monkeypatch, real_pool_sizes):
+    # 2 experiments x 2 trials on 2 CPUs: 2 processes, more jobs than processes
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    parallel = synth.run_benchmark(tiny_spec(), (1, 3))
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
+    serial = synth.run_benchmark(tiny_spec(), (1, 3))
     assert real_pool_sizes == [1]
     assert serial.per_trial.tobytes() == parallel.per_trial.tobytes()
     assert serial.means.tobytes() == parallel.means.tobytes()
 
 
-def test_one_job_runs_in_process_whatever_the_workers(pool_sizes):
+def test_one_job_runs_in_process_whatever_the_cpus(pool_sizes, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     one_job = replace(tiny_spec(), trials=1)
-    pooled = synth.run_benchmark(one_job, (1,), workers=3)
-    serial = synth.run_benchmark(one_job, (1,), workers=1)
+    pooled = synth.run_benchmark(one_job, (1,))
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
+    serial = synth.run_benchmark(one_job, (1,))
     assert pool_sizes == []
     assert pooled.per_trial.tobytes() == serial.per_trial.tobytes()
 
 
 def test_pool_is_no_larger_than_the_jobs_or_the_cpus(pool_sizes, monkeypatch):
-    monkeypatch.setattr(synth, "_trial_column", lambda spec, trial: np.zeros(len(VARIANTS)))
-    synth.run_benchmark(replace(tiny_spec(), trials=2), (1,), workers=3)
-    synth.run_benchmark(replace(tiny_spec(), trials=100000), (1,), workers=100000)
-    assert pool_sizes == [1, 3]
-
-
-@pytest.mark.parametrize("threads", [None, "1", "2"])
-def test_default_workers_pool_every_cpu_whatever_the_blas_threads(pool_sizes, monkeypatch,
-                                                                  threads):
-    # every process of a map runs BLAS on one thread, so the environment's
-    # thread count does not divide the CPUs
-    if jobs._blas_threads() is None:
-        pytest.skip("numpy's OpenBLAS thread count setter is not found")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    if threads:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-    synth.run_benchmark(tiny_spec(), (1, 3))
-    assert pool_sizes == [3]
-
-
-def test_unpinned_blas_runs_the_jobs_in_process_without_the_blas_setter(pool_sizes,
-                                                                         monkeypatch):
-    monkeypatch.setattr(jobs, "_blas_threads", lambda: None)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    synth.run_benchmark(tiny_spec(), (1, 3))
-    assert pool_sizes == []
+    # 2 jobs on 4 CPUs are 2 processes; 100000 jobs on 4 CPUs are 4
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    synth.run_benchmark(tiny_spec(), (1, 3))
-    assert pool_sizes == [3]
-
-
-@pytest.fixture
-def pool_holds_a_job(monkeypatch):
-    """Stands a thread in for the pool's one process on a 4-CPU machine: it
-    takes the first job and holds it until this process asks for the pool's
-    results. Returns hold(), which each job calls first: True, after the hold,
-    in the pool's thread, and False here."""
-    taken, release = threading.Event(), threading.Event()
-
-    class HeldFuture(Future):
-        def result(self, timeout=None):
-            release.set()
-            return super().result(timeout)
-
-    class SlowPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.threads = []
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            for thread in self.threads:
-                thread.join(10)
-            return False
-
-        def submit(self, fn):
-            future = HeldFuture()
-            self.threads.append(threading.Thread(target=lambda: future.set_result(fn())))
-            self.threads[-1].start()
-            assert taken.wait(10)
-            return future
-
-    def hold():
-        if threading.current_thread() is threading.main_thread():
-            return False
-        taken.set()
-        assert release.wait(10)
-        return True
-
-    monkeypatch.setattr(jobs, "ProcessPoolExecutor", SlowPool)
-    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
-    return hold
-
-
-def test_map_jobs_runs_here_every_job_but_the_one_the_pool_holds(pool_holds_a_job):
-    ran = []
-
-    def job(i):
-        if pool_holds_a_job():
-            return ("pool", i)
-        ran.append(i)
-        return i * i
-
-    assert jobs.map_jobs(job, [(i,) for i in range(5)], workers=2) == [("pool", 0), 1, 4, 9, 16]
-    assert ran == [1, 2, 3, 4]
-
-
-def test_map_jobs_raises_a_held_failure_before_a_later_one(pool_holds_a_job):
-    # the pool's job 0 fails after this process has failed job 2
-    def job(text):
-        pool_holds_a_job()
-        return int(text)
-
-    with pytest.raises(ValueError, match="'x'"):
-        jobs.map_jobs(job, [("x",), ("1",), ("y",)], workers=2)
-
-
-def test_map_jobs_raises_the_first_failing_job_in_job_order(real_pool_sizes):
-    # 3 jobs on 2 CPUs run on 3 processes, so job 1 or 2 may fail first
-    with pytest.raises(ValueError, match="'x'"):
-        jobs.map_jobs(int, [("1",), ("x",), ("y",)], workers=2)
-    assert real_pool_sizes == [2]
-
-
-def test_map_jobs_runs_each_job_once_on_more_processes_than_cores(monkeypatch,
-                                                                  real_pool_sizes):
-    # 4 processes share one job counter on a stubbed 4-CPU machine: a lost
-    # update would run a job twice or skip one, and change the result's length
-    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
-    assert jobs.map_jobs(abs, [(-i,) for i in range(20000)], workers=4) == list(range(20000))
-    assert real_pool_sizes == [3]
-
-
-ENVIRONMENTS = [
-    ({}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "abc"}, 8, 1),
-    ({"OMP_NUM_THREADS": "2"}, 8, 4),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 8),
-    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 2),
-]
-
-
-def set_environment(monkeypatch, env, cpus):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(jobs, "_usable_cpus", lambda: cpus)
-
-
-@pytest.mark.parametrize("env, cpus, expected", ENVIRONMENTS)
-def test_default_workers_without_the_blas_setter_is_usable_cpus_over_blas_threads(
-        monkeypatch, env, cpus, expected):
-    monkeypatch.setattr(jobs, "_blas_threads", lambda: None)
-    set_environment(monkeypatch, env, cpus)
-    assert jobs.default_workers() == expected
-
-
-@pytest.mark.parametrize("env, cpus, _", ENVIRONMENTS)
-def test_default_workers_with_the_blas_setter_is_usable_cpus(monkeypatch, env, cpus, _):
-    monkeypatch.setattr(jobs, "_blas_threads", lambda: ("set", "get"))
-    set_environment(monkeypatch, env, cpus)
-    assert jobs.default_workers() == cpus
-
-
-def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert jobs._usable_cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert jobs._usable_cpus() == 3
-
-
-WORKER_OF_A_PARENT = """
-import os, time
-from concurrent.futures import ProcessPoolExecutor
-from ssnmf import jobs
-pool = ProcessPoolExecutor(1, initializer=jobs._exit_with_parent)
-print(pool.submit(os.getpid).result(), flush=True)
-pool.submit(time.sleep, 600)
-time.sleep(600)
-"""
-
-
-def test_pool_worker_exits_when_its_parent_is_killed():
-    parent = subprocess.Popen([sys.executable, "-c", WORKER_OF_A_PARENT],
-                              stdout=subprocess.PIPE, text=True)
-    worker = int(parent.stdout.readline())
-    parent.kill()
-    try:
-        # the worker holds its parent's stdout open until it exits
-        parent.communicate(timeout=10)
-    except subprocess.TimeoutExpired:
-        os.kill(worker, signal.SIGKILL)
-        parent.communicate()
-        pytest.fail(f"pool worker {worker} outlived its killed parent")
-
-
-def test_benchmark_rejects_fewer_than_one_worker():
-    with pytest.raises(ConfigError, match="workers must be >= 1"):
-        synth.run_benchmark(tiny_spec(), (1,), workers=0)
+    monkeypatch.setattr(synth, "_trial_column", lambda spec, trial: np.zeros(len(VARIANTS)))
+    synth.run_benchmark(replace(tiny_spec(), trials=2), (1,))
+    synth.run_benchmark(replace(tiny_spec(), trials=100000), (1,))
+    assert pool_sizes == [1, 3]
 
 
 def test_error_grid_serialization(tmp_path):
@@ -424,10 +242,11 @@ def inf_in_b_at_the_last_sweep(monkeypatch, spec):
 
 
 def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
+    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
     spec = tiny_spec(2)
     inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
-        synth.run_benchmark(spec, [2], workers=1)
+        synth.run_benchmark(spec, [2])
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -435,8 +254,9 @@ def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
 def test_pooled_non_finite_b_names_the_first_failing_trial(monkeypatch, real_pool_sizes):
     # each process counts its own sweeps, so trial 1, which this process
     # runs, fails too; the first failing job in order is reported
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     spec = tiny_spec(2)
     inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
-        synth.run_benchmark(spec, [2], workers=2)
+        synth.run_benchmark(spec, [2])
     assert real_pool_sizes == [1]
