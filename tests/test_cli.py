@@ -304,22 +304,25 @@ def test_non_finite_or_out_of_range_option_exits_two(tmp_path, fit_inputs, argv,
     assert not out.exists()
 
 
+# A value the removed option once accepted (2) or rejected (0, -1, 2.5) now
+# fails as unknown before any check of its value
+@pytest.mark.parametrize("value", [2, 0, -1, 2.5])
 @pytest.mark.parametrize("in_config", [False, True])
-def test_removed_workers_option_exits_two(tmp_path, capsys, in_config):
+def test_removed_workers_option_exits_two(tmp_path, capsys, in_config, value):
     argv = ["synth-bench", "--experiment", "1", "--n2", "6", "--k", "4", "--r", "2",
             "--max-iters", "3", "--trials", "2"]
     if in_config:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 2}))
+        cfg.write_text(json.dumps({"workers": value}))
         argv += ["--config", str(cfg)]
     else:
-        argv += ["--workers", "2"]
+        argv += ["--workers", str(value)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out-dir", str(out)]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert errors[0].endswith("error: unknown config fields: workers" if in_config
-                              else "error: unrecognized arguments: --workers 2")
+                              else f"error: unrecognized arguments: --workers {value}")
     assert not out.exists()
 
 
