@@ -70,8 +70,11 @@ def grid_search(x_train, y_train, x_val, y_val, variant: ModelVariant, config: S
     (solver.tol_stop) falls on one fit per lam at the smallest tol, so tols
     stopping at one sweep share factors and one validation transform. Each
     lam is one jobs.map_jobs job, so the processes do not change the result.
-    A validation split unlike the training set is a ShapeError before any fit.
+    A validation split unlike the training set is a ShapeError, and iters
+    below 1 a ValueError, before any fit.
     """
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     _check_split(x_train, y_train, x_val, y_val, "val")
     jobs = [(x_train, y_train, x_val, y_val, w_train, variant, iters, replace(config, lam=lam),
              GRID_TOLS) for lam in GRID_LAMBDAS]

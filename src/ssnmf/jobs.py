@@ -1,8 +1,7 @@
-"""Running independent jobs on the usable CPUs, this process among them."""
+"""Running independent jobs on the usable CPUs, in a pool of processes."""
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -14,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 # and its test transform's 6 blocks 123 ms on 2 processes, 152 ms on 6 (medians of 8 runs)
 JOBS_PER_CPU = 2
 
-# map_jobs' (counter, func, jobs) while this process works on its jobs
+# map_jobs' (func, jobs) in a pool process of that map
 _running = []
 # [numpy's OpenBLAS (set, get) thread count functions, or None], once looked up
 _blas = []
@@ -80,35 +79,25 @@ def _exit_with_parent(*running) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _take_jobs() -> list:
-    """(index, ok, result or exception) of each next job, until none is left."""
-    counter, func, jobs = _running
-    done = []
-    while True:
-        with counter.get_lock():
-            i, counter.value = counter.value, counter.value + 1
-        if i >= len(jobs):
-            return done
-        try:
-            done.append((i, True, func(*jobs[i])))
-        except Exception as exc:  # raised by map_jobs, in job order
-            done.append((i, False, exc))
+def _run_job(i: int):
+    """Job i of the map whose pool this process is in."""
+    func, jobs = _running
+    return func(*jobs[i])
 
 
 def map_jobs(func, jobs: list) -> list:
     """[func(*job) for job in jobs], with BLAS on one thread in every process.
 
-    On C = _cpus(), a map of at least JOBS_PER_CPU * C jobs runs on C
-    processes, a smaller one on one process per job, and any map runs here
-    alone when that is 1 process. This process is one of them, and the pool
-    of the others gets the job list through its initializer, inherited at
-    fork or pickled once per process, so an operand that several jobs hold
-    travels once; each process takes the next job from one shared counter
-    until none is left. A map inside a job runs in place. This process's
-    BLAS thread count is restored when the map returns. func must be
-    importable by name and a job's result must depend on its arguments
-    alone. When jobs fail, the first failing job in job order raises, as
-    when they all run here.
+    On C = _cpus(), a map of at least JOBS_PER_CPU * C jobs runs on a pool of
+    C processes, a smaller one on one process per job, and any map runs here
+    when that is 1 process. The pool gets the job list through its
+    initializer, inherited at fork or pickled once per process, so an
+    operand that several jobs hold travels once; this process only waits
+    for the results, which the pool's map returns in job order. A map inside
+    a job runs in place. This process's BLAS thread count is restored when
+    the map returns. func must be importable by name and a job's result must
+    depend on its arguments alone. When jobs fail, the first failing job in
+    job order raises, as when they all run here.
     """
     cpus = _cpus()
     processes = cpus if len(jobs) >= JOBS_PER_CPU * cpus else len(jobs)
@@ -119,17 +108,9 @@ def map_jobs(func, jobs: list) -> list:
     try:
         if processes <= 1 or _running:
             return [func(*job) for job in jobs]
-        _running[:] = (multiprocessing.Value("q", 0), func, jobs)
-        try:
-            with ProcessPoolExecutor(processes - 1, initializer=_exit_with_parent,
-                                     initargs=tuple(_running)) as pool:
-                theirs = [pool.submit(_take_jobs) for _ in range(processes - 1)]
-                done = sorted(_take_jobs() + [job for future in theirs for job in future.result()])
-        finally:
-            _running.clear()
+        with ProcessPoolExecutor(processes, initializer=_exit_with_parent,
+                                 initargs=(func, jobs)) as pool:
+            return list(pool.map(_run_job, range(len(jobs))))
     finally:
         if blas:
             blas[0](threads)
-    for exc in (value for _, ok, value in done if not ok):
-        raise exc  # the first failure in job order
-    return [value for _, _, value in done]

@@ -145,9 +145,6 @@ def test_transform_block_edges(n2):
 def test_transform_codes_are_the_same_bytes_on_any_number_of_processes(variant, masked,
                                                                        monkeypatch,
                                                                        real_pool_sizes):
-    # the map's CPUs are the stubbed usable CPUs, with OPENBLAS_NUM_THREADS=1
-    # also where numpy's OpenBLAS thread count setter is not found
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(8)
     model = classify.ClassifierModel(rng.random((20, 3)) + 0.1, np.ones((2, 3)), variant,
                                      SsnmfConfig(r=3, seed=2))
@@ -160,8 +157,8 @@ def test_transform_codes_are_the_same_bytes_on_any_number_of_processes(variant, 
             monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
             codes.add(classify.transform(model, x, w_test=w, iters=15).tobytes())
         assert len(codes) == 1, n2
-    # 129 columns are 2 blocks and 723 are 6: one pool process on 2 CPUs, 1 or 2 on 3
-    assert real_pool_sizes == [1, 1, 1, 2]
+    # 129 columns are 2 blocks and 723 are 6: 2 pool processes on 2 CPUs, 2 or 3 on 3
+    assert real_pool_sizes == [2, 2, 2, 3]
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -182,9 +179,8 @@ def test_transform_codes_match_a_recomputation_of_the_frozen_factor_terms(varian
             assert classify.transform(model, x, w_test=w, iters=15).tobytes() == kept.tobytes()
 
 
-def test_transform_fit_error_from_a_pooled_block(monkeypatch, real_pool_sizes):
+def test_transform_fit_error_from_a_pooled_block(real_pool_sizes):
     # the overflowing column is in the last of 3 blocks, one process each
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(3)
     model = classify.ClassifierModel(rng.random((30, 3)) + 0.1, np.ones((2, 3)),
                                      ModelVariant.DIV_DIV, SsnmfConfig(r=3, seed=5))
@@ -192,7 +188,7 @@ def test_transform_fit_error_from_a_pooled_block(monkeypatch, real_pool_sizes):
     x[:, 250] = 1e308
     with pytest.raises(FitError, match="^transform codes are not finite after 20 iterations$"):
         classify.transform(model, x, iters=20)
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [3]
 
 
 def test_predict_shape_check():
@@ -267,6 +263,17 @@ def test_grid_search_equals_train_at_the_chosen_pair(variant, monkeypatch):
         for got, ref in zip((model.a_train, model.b_train, result.state.s),
                             (want_model.a_train, want_model.b_train, want.state.s)):
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("iters", [0, -3])
+def test_grid_search_rejects_iters_below_one_before_any_fit(iters, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("grid_search fitted before it checked iters")
+
+    monkeypatch.setattr(classify, "fit", no_fit)
+    x, y, _ = gen_separable(classes=3, per_class=4, seed=5)
+    with pytest.raises(ValueError, match=f"^iters must be >= 1, got {iters}$"):
+        classify.grid_search(x, y, x, y, ModelVariant.DIV_FRO, SsnmfConfig(r=3), iters=iters)
 
 
 @pytest.fixture

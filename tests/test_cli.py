@@ -625,10 +625,7 @@ def test_classify_fits_once_per_lam(tmp_path, classify_inputs, fit_calls, monkey
 
 def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_inputs, monkeypatch,
                                                         real_pool_sizes):
-    # on 2 CPUs the map runs the 3 lambdas on 3 processes; on 1 CPU they run
-    # here. OPENBLAS_NUM_THREADS=1 makes its CPUs the usable CPUs where
-    # numpy's OpenBLAS thread count setter is not found as well.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # on 2 CPUs the map runs the 3 lambdas on 3 processes; on 1 CPU they run here
     trees = {}
     for name, cpus in (("pooled", 2), ("serial", 1)):
         monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -637,7 +634,7 @@ def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_input
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [3]
     assert set(trees["serial"]) == {os.path.join("out", "predictions.csv"),
                                     os.path.join("out", "report.json"),
                                     *(os.path.join("model", f)
@@ -665,7 +662,6 @@ def test_classify_grid_pools_the_grid_and_the_test_transform_only(tmp_path, monk
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(jobs, "ProcessPoolExecutor", PidPool)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     trees = {}
     for name, cpus in (("pooled", 2), ("serial", 1)):
         monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -673,7 +669,7 @@ def test_classify_grid_pools_the_grid_and_the_test_transform_only(tmp_path, monk
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [2, 1]
+    assert real_pool_sizes == [3, 2]
     assert built.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
     assert trees["pooled"] == trees["serial"]
 
@@ -684,7 +680,6 @@ def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classif
     # lam 1e307 makes the objective overflow at initialization, so the failing
     # job fails through its own arguments in whichever process runs it
     monkeypatch.setattr(classify, "GRID_LAMBDAS", (10.0, 1e307, 100.0))
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     seen = []
     for cpus in (1, 2):
         monkeypatch.setattr(jobs, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -692,7 +687,7 @@ def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classif
         seen.append(cli.main(classify_argv(classify_inputs, "--grid", "--out-dir", str(out))))
         seen.append(capsys.readouterr().err)
         assert not out.exists()
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [3]
     assert seen == [1, "error: objective is inf at initialization\n"] * 2
 
 
@@ -780,10 +775,8 @@ def test_synth_bench_rerun_is_byte_identical(tmp_path):
 
 
 def test_synth_bench_pooled_writes_what_one_cpu_writes(tmp_path, monkeypatch, real_pool_sizes):
-    # on 2 CPUs the map runs the 2 jobs on 2 processes; OPENBLAS_NUM_THREADS=1
-    # makes its CPUs the usable CPUs where numpy's OpenBLAS thread count
-    # setter is not found as well. BLAS pinning is checked by test_jobs.py.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # on 2 CPUs the map runs the 2 jobs on 2 processes; BLAS pinning is
+    # checked by test_jobs.py
     args = ["synth-bench", "--experiment", "2", "--n1", "8", "--n2", "10",
             "--k", "6", "--r", "2", "--max-iters", "25", "--trials", "2",
             "--no-timestamp"]
@@ -791,7 +784,7 @@ def test_synth_bench_pooled_writes_what_one_cpu_writes(tmp_path, monkeypatch, re
     assert cli.main(args + ["--out-dir", str(pooled)]) == 0
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
     assert cli.main(args + ["--out-dir", str(serial)]) == 0
-    assert real_pool_sizes == [1]
+    assert real_pool_sizes == [2]
     assert set(tree_bytes(pooled)) == {"errorgrid.csv", "report.json"}
     assert tree_bytes(pooled) == tree_bytes(serial)
 

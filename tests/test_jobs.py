@@ -1,5 +1,5 @@
-"""jobs.map_jobs: how many processes a map runs, which process runs which
-job, BLAS on one thread in each, and pool processes that end with their parent."""
+"""jobs.map_jobs: how many processes a map runs, which failure it raises,
+BLAS on one thread in each, and pool processes that end with their parent."""
 
 import json
 import multiprocessing
@@ -7,8 +7,8 @@ import os
 import signal
 import subprocess
 import sys
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -22,24 +22,21 @@ needs_blas_setter = pytest.mark.skipif(jobs._blas_threads() is None,
 
 
 @pytest.mark.parametrize("cpus, count, expected", [
-    (4, 5, [4]),  # C < J < 2C: one process per job
-    (4, 7, [6]),
-    (4, 8, [3]),  # J >= 2C: one process per CPU
-    (4, 10000, [3]),
-    (4, 4, [3]),
-    (4, 2, [1]),
-    (3, 5, [4]),
-    (3, 6, [2]),
-    (2, 3, [2]),
-    (2, 4, [1]),
+    (4, 5, [5]),  # C < J < 2C: one process per job
+    (4, 7, [7]),
+    (4, 8, [4]),  # J >= 2C: one process per CPU
+    (4, 10000, [4]),
+    (4, 4, [4]),
+    (4, 2, [2]),
+    (3, 5, [5]),
+    (3, 6, [3]),
+    (2, 3, [3]),
+    (2, 4, [2]),
     (4, 1, []),
     (4, 0, []),
     (1, 3, []),  # C = 1: no pool
 ])
 def test_pool_size_follows_the_jobs_per_cpu(pool_sizes, monkeypatch, cpus, count, expected):
-    # OPENBLAS_NUM_THREADS=1 makes C the usable CPUs also where numpy's
-    # OpenBLAS thread count setter is not found
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: cpus)
     assert jobs.map_jobs(abs, [(-i,) for i in range(count)]) == list(range(count))
     assert pool_sizes == expected
@@ -68,7 +65,7 @@ def test_the_first_failure_in_job_order_raises(pool_sizes, monkeypatch, cpus):
 
 def test_a_real_three_job_map_on_two_cpus_leaves_no_process_running(real_pool_sizes):
     assert jobs.map_jobs(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [3]
     # active_children joins the finished ones, so only running processes remain
     assert multiprocessing.active_children() == []
 
@@ -84,7 +81,7 @@ def test_a_map_pools_every_cpu_whatever_the_blas_threads(pool_sizes, monkeypatch
     if threads:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     jobs.map_jobs(abs, [(-i,) for i in range(4)])
-    assert pool_sizes == [3]
+    assert pool_sizes == [4]
 
 
 def test_unpinned_blas_runs_the_jobs_in_process_without_the_blas_setter(pool_sizes,
@@ -96,92 +93,36 @@ def test_unpinned_blas_runs_the_jobs_in_process_without_the_blas_setter(pool_siz
     assert pool_sizes == []
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     jobs.map_jobs(abs, [(-i,) for i in range(4)])
-    assert pool_sizes == [3]
+    assert pool_sizes == [4]
 
 
-@pytest.fixture
-def pool_holds_a_job(monkeypatch):
-    """Stands a thread in for each pool process on a 2-CPU machine: the first
-    takes the first job, and each holds its jobs until this process asks for
-    the pool's results. Returns hold(), which each job calls first: True,
-    after the hold, in a pool thread, and False here."""
-    taken, release = threading.Event(), threading.Event()
-
-    class HeldFuture(Future):
-        def result(self, timeout=None):
-            release.set()
-            return super().result(timeout)
-
-    class SlowPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.threads = []
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            for thread in self.threads:
-                thread.join(10)
-            return False
-
-        def submit(self, fn):
-            future = HeldFuture()
-            self.threads.append(threading.Thread(target=lambda: future.set_result(fn())))
-            self.threads[-1].start()
-            assert taken.wait(10)
-            return future
-
-    def hold():
-        if threading.current_thread() is threading.main_thread():
-            return False
-        taken.set()
-        assert release.wait(10)
-        return True
-
-    monkeypatch.setattr(jobs, "ProcessPoolExecutor", SlowPool)
-    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 2)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    return hold
+def fail_after_job_2(path, i):
+    """Job i of a 3-job map: job 2 fails at once, job 0 once job 2 has
+    failed, which job 2 tells it through the file at path."""
+    if i == 2:
+        Path(path).touch()
+    elif i == 0:
+        deadline = time.monotonic() + 30
+        while not os.path.exists(path):
+            assert time.monotonic() < deadline, "job 2 never failed"
+            time.sleep(0.01)
+    if i != 1:
+        raise ValueError(f"job {i} failed")
+    return i
 
 
-def test_map_jobs_runs_here_every_job_but_the_one_the_pool_holds(pool_holds_a_job):
-    ran = []
-
-    def job(i):
-        if pool_holds_a_job():
-            return ("pool", i)
-        ran.append(i)
-        return i * i
-
-    assert jobs.map_jobs(job, [(i,) for i in range(5)]) == [("pool", 0), 1, 4, 9, 16]
-    assert ran == [1, 2, 3, 4]
+def test_map_jobs_raises_job_0_when_job_2_failed_first(tmp_path, real_pool_sizes):
+    failed = tmp_path / "job-2-failed"
+    with pytest.raises(ValueError, match="^job 0 failed$"):
+        jobs.map_jobs(fail_after_job_2, [(str(failed), i) for i in range(3)])
+    assert failed.exists()
+    assert real_pool_sizes == [3]
 
 
-def test_map_jobs_raises_a_held_failure_before_a_later_one(pool_holds_a_job):
-    # the pool's job 0 fails after this process has failed job 2
-    def job(text):
-        pool_holds_a_job()
-        return int(text)
-
-    with pytest.raises(ValueError, match="'x'"):
-        jobs.map_jobs(job, [("x",), ("1",), ("y",)])
-
-
-def test_map_jobs_raises_the_first_failing_job_in_job_order(monkeypatch, real_pool_sizes):
+def test_map_jobs_raises_the_first_failing_job_in_job_order(real_pool_sizes):
     # 3 jobs on 2 CPUs run on 3 processes, so job 1 or 2 may fail first
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with pytest.raises(ValueError, match="'x'"):
         jobs.map_jobs(int, [("1",), ("x",), ("y",)])
-    assert real_pool_sizes == [2]
-
-
-def test_map_jobs_runs_each_job_once_on_more_processes_than_cores(monkeypatch,
-                                                                  real_pool_sizes):
-    # 4 processes share one job counter on a stubbed 4-CPU machine: a lost
-    # update would run a job twice or skip one, and change the result's length
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(jobs, "_usable_cpus", lambda: 4)
-    assert jobs.map_jobs(abs, [(-i,) for i in range(20000)]) == list(range(20000))
     assert real_pool_sizes == [3]
 
 
@@ -246,7 +187,7 @@ def test_every_job_runs_blas_on_one_thread_and_this_process_gets_its_count_back(
         set_threads(before)
     assert counts == [1, 1, 1]
     assert after == 2
-    assert real_pool_sizes == ([2] if cpus == 2 else [])
+    assert real_pool_sizes == ([3] if cpus == 2 else [])
 
 
 @needs_blas_setter
@@ -324,7 +265,7 @@ def test_synth_bench_writes_the_same_bytes_at_any_blas_setting(tmp_path):
             run = subprocess.run([sys.executable, "-c", SYNTH_BENCH, str(cpus), *args,
                                   "--out-dir", str(out)],
                                  env=env, capture_output=True, text=True, timeout=120)
-            assert json.loads(run.stdout.splitlines()[-1]) == [0, [2] if cpus == 2 else []]
+            assert json.loads(run.stdout.splitlines()[-1]) == [0, [3] if cpus == 2 else []]
             outputs[threads, cpus] = tuple(
                 (out / name).read_bytes() for name in ("errorgrid.csv", "report.json"))
     assert len(set(outputs.values())) == 1
