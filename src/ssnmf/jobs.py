@@ -1,4 +1,4 @@
-"""Running independent jobs on the usable CPUs, in a pool of processes."""
+"""Running independent jobs on the usable CPUs, this process among them."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 # and its test transform's 6 blocks 123 ms on 2 processes, 152 ms on 6 (medians of 8 runs)
 JOBS_PER_CPU = 2
 
-# map_jobs' (func, jobs) in a pool process of that map
+# map_jobs' (func, jobs) in a pool process of that map, and here while job 0 runs
 _running = []
 # [numpy's OpenBLAS (set, get) thread count functions, or None], once looked up
 _blas = []
@@ -88,16 +88,18 @@ def _run_job(i: int):
 def map_jobs(func, jobs: list) -> list:
     """[func(*job) for job in jobs], with BLAS on one thread in every process.
 
-    On C = _cpus(), a map of at least JOBS_PER_CPU * C jobs runs on a pool of
-    C processes, a smaller one on one process per job, and any map runs here
-    when that is 1 process. The pool gets the job list through its
-    initializer, inherited at fork or pickled once per process, so an
-    operand that several jobs hold travels once; this process only waits
-    for the results, which the pool's map returns in job order. A map inside
-    a job runs in place. This process's BLAS thread count is restored when
-    the map returns. func must be importable by name and a job's result must
-    depend on its arguments alone. When jobs fail, the first failing job in
-    job order raises, as when they all run here.
+    On C = _cpus(), a map of at least JOBS_PER_CPU * C jobs runs on C
+    processes, a smaller one on one process per job, and any map runs here
+    alone when that is 1 process. Otherwise job 0 runs here while a pool
+    runs the others on the rest of those processes, or on C processes in a
+    map of at least JOBS_PER_CPU * C jobs, so that no CPU idles once job 0
+    is done. The pool gets the job list through its initializer, inherited
+    at fork or pickled once per process, so an operand that several jobs
+    hold travels once, and its ordered map returns their results in job
+    order. A map inside a job runs in place. This process's BLAS thread
+    count is restored when the map returns. func must be importable by name
+    and a job's result must depend on its arguments alone. When jobs fail,
+    the first failing job in job order raises, as when they all run here.
     """
     cpus = _cpus()
     processes = cpus if len(jobs) >= JOBS_PER_CPU * cpus else len(jobs)
@@ -108,9 +110,15 @@ def map_jobs(func, jobs: list) -> list:
     try:
         if processes <= 1 or _running:
             return [func(*job) for job in jobs]
-        with ProcessPoolExecutor(processes, initializer=_exit_with_parent,
+        with ProcessPoolExecutor(min(processes, len(jobs) - 1), initializer=_exit_with_parent,
                                  initargs=(func, jobs)) as pool:
-            return list(pool.map(_run_job, range(len(jobs))))
+            rest = pool.map(_run_job, range(1, len(jobs)))
+            _running[:] = func, jobs  # a map inside job 0 runs in place
+            try:
+                first = func(*jobs[0])
+            finally:
+                _running.clear()
+            return [first, *rest]
     finally:
         if blas:
             blas[0](threads)

@@ -17,10 +17,10 @@ def no_child_process_outlives_its_test():
 
 @pytest.fixture
 def real_pool_sizes(monkeypatch):
-    """Stubs 2 usable CPUs, so map_jobs builds real pools of 2 or 3 processes
-    on any runner, and records the max_workers of each pool it builds.
-    OPENBLAS_NUM_THREADS=1 makes the map's CPUs the stubbed ones also where
-    numpy's OpenBLAS thread count setter is not found."""
+    """Stubs 2 usable CPUs, so map_jobs builds real pools of 1 or 2 processes
+    beside this one on any runner, and records the max_workers of each pool
+    it builds. OPENBLAS_NUM_THREADS=1 makes the map's CPUs the stubbed ones
+    also where numpy's OpenBLAS thread count setter is not found."""
     sizes = []
 
     class RecordingPool(jobs.ProcessPoolExecutor):
@@ -38,7 +38,8 @@ def real_pool_sizes(monkeypatch):
 def pool_sizes(monkeypatch):
     """Stands a recorder in for the process pool on a 4-CPU machine, with
     OPENBLAS_NUM_THREADS=1 as in real_pool_sizes: each pool's max_workers is
-    appended, and its map runs the jobs here, in order, as a pool process."""
+    appended, and its map runs the jobs here, in order, as a pool process,
+    each when its result is asked for."""
     sizes = []
 
     class RecordingPool:
@@ -57,7 +58,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             jobs._running[:] = self.initargs
             try:
-                return [fn(*args) for args in zip(*iterables)]
+                yield from (fn(*args) for args in zip(*iterables))
             finally:
                 jobs._running.clear()
 

@@ -634,7 +634,7 @@ def test_classify_grid_pooled_writes_what_serial_writes(tmp_path, classify_input
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [3]
+    assert real_pool_sizes == [2]
     assert set(trees["serial"]) == {os.path.join("out", "predictions.csv"),
                                     os.path.join("out", "report.json"),
                                     *(os.path.join("model", f)
@@ -669,7 +669,7 @@ def test_classify_grid_pools_the_grid_and_the_test_transform_only(tmp_path, monk
                              "--out-dir", str(tmp_path / name / "out"))
         assert cli.main(argv) == 0
         trees[name] = tree_bytes(tmp_path / name)
-    assert real_pool_sizes == [3, 2]
+    assert real_pool_sizes == [2, 1]
     assert built.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
     assert trees["pooled"] == trees["serial"]
 
@@ -687,7 +687,7 @@ def test_classify_grid_fit_error_is_the_same_pooled_and_serial(tmp_path, classif
         seen.append(cli.main(classify_argv(classify_inputs, "--grid", "--out-dir", str(out))))
         seen.append(capsys.readouterr().err)
         assert not out.exists()
-    assert real_pool_sizes == [3]
+    assert real_pool_sizes == [2]
     assert seen == [1, "error: objective is inf at initialization\n"] * 2
 
 
@@ -784,7 +784,7 @@ def test_synth_bench_pooled_writes_what_one_cpu_writes(tmp_path, monkeypatch, re
     assert cli.main(args + ["--out-dir", str(pooled)]) == 0
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
     assert cli.main(args + ["--out-dir", str(serial)]) == 0
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [1]
     assert set(tree_bytes(pooled)) == {"errorgrid.csv", "report.json"}
     assert tree_bytes(pooled) == tree_bytes(serial)
 

@@ -22,15 +22,15 @@ needs_blas_setter = pytest.mark.skipif(jobs._blas_threads() is None,
 
 
 @pytest.mark.parametrize("cpus, count, expected", [
-    (4, 5, [5]),  # C < J < 2C: one process per job
-    (4, 7, [7]),
-    (4, 8, [4]),  # J >= 2C: one process per CPU
+    (4, 5, [4]),  # C < J < 2C: one process per job, job 0's here
+    (4, 7, [6]),
+    (4, 8, [4]),  # J >= 2C: one pool process per CPU beside job 0 here
     (4, 10000, [4]),
-    (4, 4, [4]),
-    (4, 2, [2]),
-    (3, 5, [5]),
+    (4, 4, [3]),
+    (4, 2, [1]),
+    (3, 5, [4]),
     (3, 6, [3]),
-    (2, 3, [3]),
+    (2, 3, [2]),
     (2, 4, [2]),
     (4, 1, []),
     (4, 0, []),
@@ -65,7 +65,7 @@ def test_the_first_failure_in_job_order_raises(pool_sizes, monkeypatch, cpus):
 
 def test_a_real_three_job_map_on_two_cpus_leaves_no_process_running(real_pool_sizes):
     assert jobs.map_jobs(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
-    assert real_pool_sizes == [3]
+    assert real_pool_sizes == [2]
     # active_children joins the finished ones, so only running processes remain
     assert multiprocessing.active_children() == []
 
@@ -81,7 +81,7 @@ def test_a_map_pools_every_cpu_whatever_the_blas_threads(pool_sizes, monkeypatch
     if threads:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     jobs.map_jobs(abs, [(-i,) for i in range(4)])
-    assert pool_sizes == [4]
+    assert pool_sizes == [3]
 
 
 def test_unpinned_blas_runs_the_jobs_in_process_without_the_blas_setter(pool_sizes,
@@ -93,37 +93,40 @@ def test_unpinned_blas_runs_the_jobs_in_process_without_the_blas_setter(pool_siz
     assert pool_sizes == []
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     jobs.map_jobs(abs, [(-i,) for i in range(4)])
-    assert pool_sizes == [4]
+    assert pool_sizes == [3]
 
 
-def fail_after_job_2(path, i):
-    """Job i of a 3-job map: job 2 fails at once, job 0 once job 2 has
+def fail_after_job_2(path, late, i):
+    """Job i of a 3-job map: job 2 fails at once, job late once job 2 has
     failed, which job 2 tells it through the file at path."""
     if i == 2:
         Path(path).touch()
-    elif i == 0:
+    elif i == late:
         deadline = time.monotonic() + 30
         while not os.path.exists(path):
             assert time.monotonic() < deadline, "job 2 never failed"
             time.sleep(0.01)
-    if i != 1:
+    if i in (2, late):
         raise ValueError(f"job {i} failed")
     return i
 
 
-def test_map_jobs_raises_job_0_when_job_2_failed_first(tmp_path, real_pool_sizes):
+@pytest.mark.parametrize("late", [0, 1])
+def test_map_jobs_raises_a_later_failure_when_job_2_failed_first(tmp_path, real_pool_sizes,
+                                                                   late):
+    # job 0 runs here, jobs 1 and 2 in the pool's two processes
     failed = tmp_path / "job-2-failed"
-    with pytest.raises(ValueError, match="^job 0 failed$"):
-        jobs.map_jobs(fail_after_job_2, [(str(failed), i) for i in range(3)])
+    with pytest.raises(ValueError, match=f"^job {late} failed$"):
+        jobs.map_jobs(fail_after_job_2, [(str(failed), late, i) for i in range(3)])
     assert failed.exists()
-    assert real_pool_sizes == [3]
+    assert real_pool_sizes == [2]
 
 
 def test_map_jobs_raises_the_first_failing_job_in_job_order(real_pool_sizes):
     # 3 jobs on 2 CPUs run on 3 processes, so job 1 or 2 may fail first
     with pytest.raises(ValueError, match="'x'"):
         jobs.map_jobs(int, [("1",), ("x",), ("y",)])
-    assert real_pool_sizes == [3]
+    assert real_pool_sizes == [2]
 
 
 ENVIRONMENTS = [
@@ -187,7 +190,7 @@ def test_every_job_runs_blas_on_one_thread_and_this_process_gets_its_count_back(
         set_threads(before)
     assert counts == [1, 1, 1]
     assert after == 2
-    assert real_pool_sizes == ([3] if cpus == 2 else [])
+    assert real_pool_sizes == ([2] if cpus == 2 else [])
 
 
 @needs_blas_setter
@@ -265,7 +268,7 @@ def test_synth_bench_writes_the_same_bytes_at_any_blas_setting(tmp_path):
             run = subprocess.run([sys.executable, "-c", SYNTH_BENCH, str(cpus), *args,
                                   "--out-dir", str(out)],
                                  env=env, capture_output=True, text=True, timeout=120)
-            assert json.loads(run.stdout.splitlines()[-1]) == [0, [3] if cpus == 2 else []]
+            assert json.loads(run.stdout.splitlines()[-1]) == [0, [2] if cpus == 2 else []]
             outputs[threads, cpus] = tuple(
                 (out / name).read_bytes() for name in ("errorgrid.csv", "report.json"))
     assert len(set(outputs.values())) == 1

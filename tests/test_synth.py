@@ -167,7 +167,7 @@ def test_benchmark_smoke_and_determinism():
 
 
 def test_parallel_jobs_match_serial_bit_for_bit(monkeypatch, real_pool_sizes):
-    # 2 experiments x 2 trials on 2 CPUs: 2 processes, more jobs than processes
+    # 2 experiments x 2 trials on 2 CPUs: a pool of 2 processes beside job 0 here
     parallel = synth.run_benchmark(tiny_spec(), (1, 3))
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
     serial = synth.run_benchmark(tiny_spec(), (1, 3))
@@ -186,11 +186,12 @@ def test_one_job_runs_in_process_whatever_the_cpus(pool_sizes, monkeypatch):
 
 
 def test_pool_is_no_larger_than_the_jobs_or_the_cpus(pool_sizes, monkeypatch):
-    # 2 jobs on 4 CPUs are 2 processes; 100000 jobs on 4 CPUs are 4
+    # 2 jobs on 4 CPUs are 2 processes, this one and a pool of 1; 100000 jobs
+    # on 4 CPUs are a pool of 4 beside job 0 here
     monkeypatch.setattr(synth, "_trial_column", lambda spec, trial: np.zeros(len(VARIANTS)))
     synth.run_benchmark(replace(tiny_spec(), trials=2), (1,))
     synth.run_benchmark(replace(tiny_spec(), trials=100000), (1,))
-    assert pool_sizes == [2, 4]
+    assert pool_sizes == [1, 4]
 
 
 def test_error_grid_serialization(tmp_path):
@@ -249,10 +250,10 @@ def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched mu_step reaches the pool's process only by fork")
 def test_pooled_non_finite_b_names_the_first_failing_trial(monkeypatch, real_pool_sizes):
-    # each process counts its own sweeps, so trial 1 fails too when the other
-    # process runs it; the first failing job in order is reported
+    # each process counts its own sweeps, so trial 1, which the pool's process
+    # runs, fails too; the first failing job in order is reported
     spec = tiny_spec(2)
     inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
         synth.run_benchmark(spec, [2])
-    assert real_pool_sizes == [2]
+    assert real_pool_sizes == [1]
