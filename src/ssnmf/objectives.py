@@ -230,18 +230,19 @@ class TermValue:
             # huge residuals square to inf, the intended value: fit reports it as a FitError
             with np.errstate(over="ignore"):
                 return float(np.dot(d, d))
-        self._support()
-        if self.negative or np.any(wz < 0):
-            raise ValueError("i_divergence requires nonnegative entries")
-        total = float(wz.sum() - self.total)
-        if not self.positions.size:
-            return total
-        bp = self._gather(wz)
-        with np.errstate(divide="ignore"):
+        # as above, an overflowing sum, log or dot gives the non-finite value fit reports
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self._support()
+            if self.negative or np.any(wz < 0):
+                raise ValueError("i_divergence requires nonnegative entries")
+            total = float(wz.sum() - self.total)
+            if not self.positions.size:
+                return total
+            bp = self._gather(wz)
             logs = np.log(np.divide(self.values, bp, out=bp), out=bp)
-        if np.any(np.isinf(logs)):
-            return math.inf
-        return total + float(np.dot(self.values, logs))
+            if np.any(np.isinf(logs)):
+                return math.inf
+            return total + float(np.dot(self.values, logs))
 
 
 def _term_error(x, z, mask, loss, eps):

@@ -54,36 +54,20 @@ class Corpus:
 @dataclass
 class Vocabulary:
     terms: list
-    term_index: dict
-    doc_freq: np.ndarray
-    n_docs: int
+    idf: np.ndarray
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def idf(self) -> np.ndarray:
-        return np.log((1.0 + self.n_docs) / (1.0 + self.doc_freq)) + 1.0
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for term in self.terms:
-                fh.write(term + "\n")
+            fh.writelines(term + "\n" for term in self.terms)
 
 
-def load_vocabulary(path) -> Vocabulary:
-    """Read an ordered term list written by Vocabulary.save.
-
-    Document frequencies are not stored in the text format, so the loaded
-    vocabulary is only suitable for keyword lookup, not for computing idf.
-    """
+def load_vocabulary(path) -> list:
+    """The ordered term list written by Vocabulary.save (it holds no idf)."""
     with open(path, "r", encoding="utf-8") as fh:
-        terms = [line.strip() for line in fh if line.strip()]
-    return Vocabulary(
-        terms=terms,
-        term_index={t: i for i, t in enumerate(terms)},
-        doc_freq=np.zeros(len(terms), dtype=np.int64),
-        n_docs=0,
-    )
+        return [line.strip() for line in fh if line.strip()]
 
 
 def tokenize(text: str) -> list:
@@ -151,12 +135,8 @@ def build_vocabulary(
     kept.sort()
     if not kept:
         raise ParseError("vocabulary is empty after filtering")
-    return Vocabulary(
-        terms=kept,
-        term_index={t: i for i, t in enumerate(kept)},
-        doc_freq=np.array([doc_freq[t] for t in kept], dtype=np.int64),
-        n_docs=n_docs,
-    )
+    df = np.array([doc_freq[t] for t in kept], dtype=np.int64)
+    return Vocabulary(kept, np.log((1.0 + n_docs) / (1.0 + df)) + 1.0)
 
 
 def tfidf(corpus: Corpus, vocab: Vocabulary) -> np.ndarray:
@@ -170,13 +150,13 @@ def tfidf(corpus: Corpus, vocab: Vocabulary) -> np.ndarray:
     if len(vocab) == 0:
         raise ParseError("vocabulary is empty")
     mat = np.zeros((len(vocab), len(corpus.documents)))
-    index = vocab.term_index
+    index = {t: i for i, t in enumerate(vocab.terms)}
     for j, doc in enumerate(corpus.documents):
         for term, count in Counter(tokenize(doc.text)).items():
             i = index.get(term)
             if i is not None:
                 mat[i, j] = count
-    mat *= vocab.idf()[:, None]
+    mat *= vocab.idf[:, None]
     norms = np.sqrt((mat * mat).sum(axis=0))
     nonzero = norms > 0
     mat[:, nonzero] /= norms[nonzero]
@@ -254,12 +234,26 @@ def split(
     return subset(train_idx), subset(val_idx), subset(test_idx)
 
 
+def _corpus(records, strip: bool, groups=(), subgroups=()) -> Corpus:
+    """The Corpus of (text, group, subgroup) records, in their order; ids follow the
+    sorted names of the records and of groups and subgroups, which may have none."""
+    class_names = sorted({g for _, g, _ in records}.union(groups))
+    subgroup_names = sorted({s for _, _, s in records}.union(subgroups))
+    class_index = {n: i for i, n in enumerate(class_names)}
+    subgroup_index = {n: i for i, n in enumerate(subgroup_names)}
+    documents = [
+        Document(clean_document(text) if strip else text, class_index[g], subgroup_index[s])
+        for text, g, s in records
+    ]
+    return Corpus(documents, class_names, subgroup_names)
+
+
 def load_corpus_tree(root, strip: bool = True) -> Corpus:
     """Read a class/subgroup/document directory tree.
 
-    Class and subgroup ids follow the sorted directory names; files are read
-    in sorted order. Non-directories at the class or subgroup level are
-    ignored.
+    Class and subgroup ids follow the sorted directory names, empty ones
+    included; files are read in sorted order, undecodable bytes replaced.
+    Non-directories at the class or subgroup level are ignored.
     """
     root = Path(root)
     if not root.is_dir():
@@ -267,59 +261,39 @@ def load_corpus_tree(root, strip: bool = True) -> Corpus:
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise ParseError(f"no class directories under {root}")
-    subgroup_names = sorted(
-        {sub.name for cls in class_dirs for sub in cls.iterdir() if sub.is_dir()}
-    )
-    subgroup_index = {name: i for i, name in enumerate(subgroup_names)}
-    documents = []
-    class_names = [p.name for p in class_dirs]
-    for class_id, cls in enumerate(class_dirs):
-        for sub in sorted(p for p in cls.iterdir() if p.is_dir()):
-            for doc_path in sorted(p for p in sub.iterdir() if p.is_file()):
-                text = doc_path.read_text("utf-8", errors="replace")
-                if strip:
-                    text = clean_document(text)
-                documents.append(Document(
-                    text=text,
-                    class_id=class_id,
-                    subgroup_id=subgroup_index[sub.name],
-                ))
-    if not documents:
+    sub_dirs = [(cls.name, sub) for cls in class_dirs
+                for sub in sorted(p for p in cls.iterdir() if p.is_dir())]
+    records = [
+        (doc.read_text("utf-8", errors="replace"), group, sub.name)
+        for group, sub in sub_dirs
+        for doc in sorted(p for p in sub.iterdir() if p.is_file())
+    ]
+    if not records:
         raise ParseError(f"no documents found under {root}")
-    return Corpus(documents, class_names, subgroup_names)
+    return _corpus(records, strip, [c.name for c in class_dirs], [s.name for _, s in sub_dirs])
 
 
 def load_corpus_jsonl(path, strip: bool = True) -> Corpus:
     """Read one JSON object per line whose keys text, group and subgroup are
-    strings. Any other non-blank line is a ParseError naming the line."""
+    strings. Any other non-blank line, a line that is not UTF-8 included, is
+    a ParseError naming the line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes pass as lone surrogates until their line is known
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}: line {lineno}: a record must be a JSON object")
             bad = [k for k in ("text", "group", "subgroup") if not isinstance(obj.get(k), str)]
             if bad:
                 raise ParseError(f"{path}: line {lineno}: keys missing or not strings: {bad}")
-            records.append(obj)
+            records.append((obj["text"], obj["group"], obj["subgroup"]))
     if not records:
         raise ParseError(f"{path}: no documents")
-    class_names = sorted({r["group"] for r in records})
-    subgroup_names = sorted({r["subgroup"] for r in records})
-    class_index = {n: i for i, n in enumerate(class_names)}
-    subgroup_index = {n: i for i, n in enumerate(subgroup_names)}
-    documents = []
-    for r in records:
-        text = clean_document(r["text"]) if strip else r["text"]
-        documents.append(Document(
-            text=text,
-            class_id=class_index[r["group"]],
-            subgroup_id=subgroup_index[r["subgroup"]],
-        ))
-    return Corpus(documents, class_names, subgroup_names)
+    return _corpus(records, strip)

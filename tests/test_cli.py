@@ -158,6 +158,19 @@ def test_overflowing_fit_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: objective is inf at initialization\n"
 
 
+@pytest.mark.parametrize("scale", [1e305, 1e307])
+@pytest.mark.parametrize("variant", ["fro-div", "div-fro", "div-div"])
+def test_overflowing_divergence_fit_prints_only_its_error(tmp_path, fit_inputs, variant,
+                                                          scale, capfd):
+    # the divergence score's dot product overflows at 1e305, and the sum of X too at
+    # 1e307; numpy must not warn about either on the way to the one error line
+    huge = write_matrix(tmp_path / "huge.csv", matrix.read_csv(fit_inputs["x"]) * scale)
+    code = cli.main(["fit", "--x", huge, "--y", fit_inputs["y"], "--variant", variant,
+                     "--r", "2", "--max-iters", "3", "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert capfd.readouterr().err == "error: objective is inf at initialization\n"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**32)])
 def test_fit_seed_outside_32_bits_exits_two(tmp_path, fit_inputs, seed, capsys):
     out = tmp_path / "o"

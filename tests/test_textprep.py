@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_build_vocabulary_df_bounds():
     corpus = make_corpus(["the cat sat", "the dog ran", "the cat ran fast"])
     vocab = textprep.build_vocabulary(corpus, min_df=2, max_df_ratio=0.7)
     # "the" is in 3/3 docs > 0.7, singles fall under min_df
-    assert "the" not in vocab.term_index
+    assert "the" not in vocab.terms
     assert set(vocab.terms) == {"cat", "ran"}
     # terms come out sorted
     assert vocab.terms == sorted(vocab.terms)
@@ -67,8 +68,8 @@ def test_build_vocabulary_df_bounds():
 def test_build_vocabulary_stop_terms():
     corpus = make_corpus(["the cat", "the dog"])
     vocab = textprep.build_vocabulary(corpus, stop_terms=("the",))
-    assert "the" not in vocab.term_index
-    assert "cat" in vocab.term_index
+    assert "the" not in vocab.terms
+    assert "cat" in vocab.terms
 
 
 def test_build_vocabulary_size_cap_prefers_frequent_terms():
@@ -94,11 +95,9 @@ def test_build_vocabulary_size_below_one_raises(max_size):
 def test_idf_formula():
     corpus = make_corpus(["cat dog", "cat"])
     vocab = textprep.build_vocabulary(corpus)
-    idf = vocab.idf()
-    i_cat = vocab.term_index["cat"]
-    i_dog = vocab.term_index["dog"]
-    assert idf[i_cat] == pytest.approx(math.log(3 / 3) + 1)
-    assert idf[i_dog] == pytest.approx(math.log(3 / 2) + 1)
+    assert vocab.terms == ["cat", "dog"]
+    assert vocab.idf[0] == pytest.approx(math.log(3 / 3) + 1)
+    assert vocab.idf[1] == pytest.approx(math.log(3 / 2) + 1)
 
 
 def test_tfidf_single_doc_hand_computed():
@@ -207,6 +206,20 @@ def test_load_corpus_tree(tmp_path):
     assert by_text["ball goal net"].subgroup_id == 2
 
 
+def test_load_corpus_tree_keeps_empty_directories(tmp_path):
+    (tmp_path / "sport" / "hockey").mkdir(parents=True)
+    (tmp_path / "sport" / "hockey" / "0001.txt").write_text("puck ice goal")
+    (tmp_path / "sport" / "curling").mkdir()  # a subgroup without documents
+    (tmp_path / "tech" / "crypt").mkdir(parents=True)
+    (tmp_path / "tech" / "crypt" / "0001.txt").write_text("cipher key code")
+    (tmp_path / "arts").mkdir()  # a class without subgroups
+    corpus = textprep.load_corpus_tree(tmp_path)
+    assert corpus.class_names == ["arts", "sport", "tech"]
+    assert corpus.subgroup_names == ["crypt", "curling", "hockey"]
+    assert [(d.text.strip(), d.class_id, d.subgroup_id) for d in corpus.documents] == [
+        ("puck ice goal", 1, 2), ("cipher key code", 2, 0)]
+
+
 def test_load_corpus_jsonl(tmp_path):
     path = tmp_path / "docs.jsonl"
     rows = [
@@ -218,10 +231,20 @@ def test_load_corpus_jsonl(tmp_path):
     assert corpus.class_names == ["sport", "tech"]
     assert len(corpus) == 2
 
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps({"group": "x", "subgroup": "y"}) + "\n")
-    with pytest.raises(ParseError):
-        textprep.load_corpus_jsonl(bad)
+    # universal newlines: CR-only line endings still split the records
+    cr = tmp_path / "cr.jsonl"
+    cr.write_bytes("\r".join(json.dumps(r) for r in rows).encode("utf-8") + b"\r")
+    assert [d.text for d in textprep.load_corpus_jsonl(cr).documents] == ["puck ice", "cipher key"]
+
+    good = json.dumps(rows[0]).encode("utf-8") + b"\n"
+    for line, want in [
+        (json.dumps({"group": "x", "subgroup": "y"}).encode("utf-8"), "keys missing"),
+        (b'{"text": "caf\xff", "group": "x", "subgroup": "y"}', "can't decode byte 0xff"),
+    ]:
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(good + line + b"\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}: line 2: .*{want}"):
+            textprep.load_corpus_jsonl(bad)
 
 
 def test_vocabulary_save_load(tmp_path):
@@ -229,6 +252,4 @@ def test_vocabulary_save_load(tmp_path):
     vocab = textprep.build_vocabulary(corpus)
     path = tmp_path / "vocab.txt"
     vocab.save(path)
-    back = textprep.load_vocabulary(path)
-    assert back.terms == vocab.terms
-    assert back.term_index == vocab.term_index
+    assert textprep.load_vocabulary(path) == ["cat", "dog", "fish"]
