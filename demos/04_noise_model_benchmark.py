@@ -32,8 +32,8 @@ TRIALS = 3
 
 def main():
     spec = synth.ExperimentSpec(
-        experiment=1, n1=N, n2=N, k=N, r=5, density=0.5, lam=1.0,
-        max_iters=MAX_ITERS, trials=TRIALS, seed=0,
+        n1=N, n2=N, k=N, r=5, density=0.5, lam=1.0, max_iters=MAX_ITERS,
+        trials=TRIALS, seed=0,
     )
     started = time.perf_counter()
     grid = synth.run_benchmark(spec, list(synth.EXPERIMENT_IDS))

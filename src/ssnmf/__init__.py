@@ -49,7 +49,6 @@ from .solver import (
 from .synth import (
     ErrorGrid,
     ExperimentSpec,
-    NoiseModel,
     gen_factors,
     gen_separable,
     run_benchmark,
@@ -68,7 +67,6 @@ __all__ = [
     "FitResult",
     "Loss",
     "ModelVariant",
-    "NoiseModel",
     "ObjectiveSpec",
     "ParseError",
     "ShapeError",

@@ -255,8 +255,7 @@ def cmd_synth_bench(args) -> int:
     opts = _resolve(args)
     all_ids = opts["experiment"] == "all"
     experiments = list(synth.EXPERIMENT_IDS) if all_ids else [int(opts["experiment"])]
-    base = _build(synth.ExperimentSpec, {**opts, "experiment": experiments[0]})
-    grid = synth.run_benchmark(base, experiments)
+    grid = synth.run_benchmark(_build(synth.ExperimentSpec, opts), experiments)
     out_dir = _out_dir(opts)
     grid.to_csv(os.path.join(out_dir, "errorgrid.csv"))
     minima = grid.column_minima()

@@ -96,9 +96,9 @@ class TermValue:
 
     W.X is built once. The first score builds a buffer. For the divergence,
     the first score, or the first gradient split of a sparse W.X, builds the
-    flat positions of W.X's nonzero entries, their values and its sum
-    (_support): scoring gathers W.Z there with take, and so does the
-    quotient of a sparse W.X.
+    flat positions of W.X's nonzero entries and their values (_support):
+    scoring gathers W.Z there with take, and so does the quotient of a
+    sparse W.X. The first divergence score also takes W.X's sum.
     """
 
     def __init__(self, x, mask, loss: Loss, eps: float = 0.0):
@@ -115,7 +115,7 @@ class TermValue:
         # the squared Frobenius residual brings a 2 the divergence lacks
         self.grad_factor = 2.0 if loss is Loss.FRO else 1.0
         self.gram = loss is Loss.FRO and mask is None
-        self._scratch = self.positions = self._quotient = self._sparse = None
+        self._scratch = self.positions = self._quotient = self._sparse = self.total = None
         self._frozen = None, None  # freeze's (f, what for_codes takes from f alone)
 
     def product(self, f, s):
@@ -127,13 +127,11 @@ class TermValue:
         return z
 
     def _support(self):
-        """W.X's nonzero entries as flat positions, their values and W.X's
-        sum, built once."""
+        """W.X's nonzero entries as flat positions and their values, built once."""
         if self.positions is None:
             # a bool array's nonzero runs about twice as fast as a float one's
             self.positions = np.flatnonzero(self.wx != 0)
             self.values = self.wx.take(self.positions)
-            self.total = self.wx.sum()
             self.negative = bool(np.any(self.values < 0))
 
     def _is_sparse(self):
@@ -235,6 +233,10 @@ class TermValue:
             self._support()
             if self.negative or np.any(wz < 0):
                 raise ValueError("i_divergence requires nonnegative entries")
+            if self.total is None:
+                self.total = self.wx.sum()
+            if self.total == math.inf:  # inf - inf below would read nan
+                return math.inf
             total = float(wz.sum() - self.total)
             if not self.positions.size:
                 return total

@@ -7,6 +7,9 @@ A @ S and B @ S. The variant that is the maximum-likelihood estimator for a
 noise pair should win its own column, which is the pattern the acceptance
 suite checks for.
 
+Each experiment's noise follows its matched variant (MATCHED_VARIANT): a
+fro side gets Gaussian noise clamped at 0, a div side Poisson counts.
+
 Experiments (x noise / y noise):
   1: Gaussian(var 1)      / Gaussian(var 1)      -> matched variant fro-fro
   2: Gaussian(var 1/(2r)) / Poisson              -> matched variant fro-div
@@ -22,57 +25,30 @@ that weight is 2*var_x = 1/r for fro-div and 1/(2*var_y) = r for div-fro
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ConfigError, FitError
 from .jobs import map_jobs
-from .objectives import VARIANTS, ModelVariant, ObjectiveSpec, objective
+from .objectives import VARIANTS, Loss, ModelVariant, ObjectiveSpec, objective
 from .rng import substream
 from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, _terms, mu_step
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    kind: str  # "gaussian" or "poisson"
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "poisson"):
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not 0 < self.variance < math.inf:
-            raise ConfigError(f"gaussian variance must be finite and positive, "
-                              f"got {self.variance}")
-
-
 EXPERIMENT_IDS = (1, 2, 3, 4)
 
-# experiment id -> variant that is the MLE under that noise pair
-MATCHED_VARIANT = {
-    1: ModelVariant.FRO_FRO,
-    2: ModelVariant.FRO_DIV,
-    3: ModelVariant.DIV_FRO,
-    4: ModelVariant.DIV_DIV,
-}
-
-
-def noise_pair(experiment: int, r: int):
-    """The (x_noise, y_noise) models for an experiment id."""
-    narrow = NoiseModel("gaussian", 1.0 / (2.0 * r))
-    wide = NoiseModel("gaussian", 1.0)
-    po = NoiseModel("poisson")
-    pairs = {1: (wide, wide), 2: (narrow, po), 3: (po, narrow), 4: (po, po)}
-    if experiment not in pairs:
-        raise ConfigError(f"experiment id must be in 1..4, got {experiment}")
-    return pairs[experiment]
+# experiment id -> the variant that is the MLE under its noise, which the
+# variant sets: Gaussian on a fro side, Poisson on a div side
+MATCHED_VARIANT = dict(zip(EXPERIMENT_IDS, VARIANTS))
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark experiment. Defaults are the full-scale settings; pass
-    smaller dims and iteration counts for a desk-scale run.
+    """The knobs every experiment of a benchmark run shares. Defaults are the
+    full-scale settings; pass smaller dims and iteration counts for a
+    desk-scale run.
 
     The matched variant wins its column at the full-scale size, not on small
     matrices. There the score's eps guard decides the ranking: the Poisson
@@ -88,7 +64,6 @@ class ExperimentSpec:
     small-size pattern.
     """
 
-    experiment: int
     n1: int = 500
     n2: int = 500
     k: int = 500
@@ -101,8 +76,6 @@ class ExperimentSpec:
     eps: float = 1e-10
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
-            raise ConfigError(f"experiment id must be in 1..4, got {self.experiment}")
         if not 0 < self.density <= 1:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
         _check_knobs(self)
@@ -133,8 +106,10 @@ def gen_factors(n1: int, n2: int, k: int, r: int, density: float, seed: int) -> 
     return FactorState(a=a, b=b, s=s)
 
 
-def _draw(noise: NoiseModel, mean, gen: np.random.Generator) -> np.ndarray:
-    """Entrywise draws around mean from an explicit stream; Gaussians clamp at 0.
+def _draw(loss: Loss, variance: float, mean, gen: np.random.Generator) -> np.ndarray:
+    """Entrywise draws around mean from an explicit stream, the noise that
+    loss is the MLE for: Gaussian of the given variance, clamped at 0, for
+    fro, Poisson for div.
 
     Clamping keeps samples valid for the divergence models, but at the
     benchmark's means and variances it is not rare (measured at 100x100 and
@@ -144,8 +119,8 @@ def _draw(noise: NoiseModel, mean, gen: np.random.Generator) -> np.ndarray:
     fro-fro is only approximately the MLE; this is why experiment 1's margin
     is the narrowest at most seeds (matched/best-other 0.961-0.994 at 500x500).
     """
-    if noise.kind == "gaussian":
-        return np.maximum(gen.normal(loc=mean, scale=math.sqrt(noise.variance)), 0.0)
+    if loss is Loss.FRO:
+        return np.maximum(gen.normal(loc=mean, scale=math.sqrt(variance)), 0.0)
     return gen.poisson(mean).astype(np.float64)
 
 
@@ -184,16 +159,20 @@ class ErrorGrid:
                 fh.write(f"{v.key},{row}\n")
 
 
-def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
+def _trial_column(spec: ExperimentSpec, experiment: int, trial: int) -> np.ndarray:
     """Relative errors of all variants for one trial of one experiment."""
-    x_noise, y_noise = noise_pair(spec.experiment, spec.r)
+    matched = MATCHED_VARIANT[experiment]
+    # a Gaussian side has variance 1 beside another Gaussian, 1/(2r) beside a Poisson
+    variance = 1.0 if matched is ModelVariant.FRO_FRO else 1.0 / (2.0 * spec.r)
     true = gen_factors(spec.n1, spec.n2, spec.k, spec.r, spec.density, spec.seed)
     clean_x = true.a @ true.s
     clean_y = true.b @ true.s
-    x = _draw(x_noise, clean_x, substream(spec.seed, "x", trial, spec.experiment))
-    y = _draw(y_noise, clean_y, substream(spec.seed, "y", trial, spec.experiment))
+    x = _draw(matched.reconstruction, variance, clean_x,
+              substream(spec.seed, "x", trial, experiment))
+    y = _draw(matched.supervision, variance, clean_y,
+              substream(spec.seed, "y", trial, experiment))
     init = _draw_factors(substream(spec.seed, "init", trial), spec.n1, spec.n2, spec.k, spec.r)
-    score = ObjectiveSpec(MATCHED_VARIANT[spec.experiment], spec.lam)
+    score = ObjectiveSpec(matched, spec.lam)
     base = objective(score, init.a, init.b, init.s, clean_x, clean_y, eps=spec.eps)
     errors = np.empty(len(VARIANTS))
     for i, variant in enumerate(VARIANTS):
@@ -203,7 +182,7 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
             state = mu_step(variant, state, x, y, None, None, spec.lam, spec.eps, reuse=terms)
         if not all(np.all(np.isfinite(f)) for f in (state.a, state.b, state.s)):
             raise FitError(
-                f"non-finite factors in trial {trial}, experiment {spec.experiment}, "
+                f"non-finite factors in trial {trial}, experiment {experiment}, "
                 f"variant {variant.key}"
             )
         final = objective(score, state.a, state.b, state.s, clean_x, clean_y, eps=spec.eps)
@@ -214,9 +193,13 @@ def _trial_column(spec: ExperimentSpec, trial: int) -> np.ndarray:
 def run_benchmark(base: ExperimentSpec, experiments: Sequence[int] = EXPERIMENT_IDS) -> ErrorGrid:
     """Every trial of every experiment, with base's knobs, on jobs.map_jobs's
     processes. Each (experiment, trial) job draws from its own substreams, so
-    the grid is the same bit for bit on any number of processes.
+    the grid is the same bit for bit on any number of processes. Every job
+    holds base itself, so a pool gets it once per process.
     """
-    jobs = [(replace(base, experiment=e), t) for e in experiments for t in range(base.trials)]
+    if not experiments or any(e not in MATCHED_VARIANT for e in experiments):
+        raise ConfigError(f"experiment ids must be a nonempty list of 1..4, "
+                          f"got {list(experiments)}")
+    jobs = [(base, e, t) for e in experiments for t in range(base.trials)]
     columns = map_jobs(_trial_column, jobs)
     # jobs run experiment-major; per_trial is trials x variants x experiments
     per_trial = np.array(columns).reshape(len(experiments), base.trials, -1).transpose(1, 2, 0)

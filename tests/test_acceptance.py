@@ -184,9 +184,8 @@ def test_criterion_4_noise_matched_variant_wins_each_experiment():
     # and the matched variant wins every column for seeds 0-4; matched to
     # best-other ratios at seed 0 are 0.967, 0.727, 0.807 and 0.886, and the
     # closest at any seed are 0.994 (experiment 1) and 0.993 (experiment 4).
-    spec = ExperimentSpec(experiment=1, n1=500, n2=500, k=500, r=5,
-                          density=0.5, lam=1.0, max_iters=1000, trials=1,
-                          seed=0, eps=1e-10)
+    spec = ExperimentSpec(n1=500, n2=500, k=500, r=5, density=0.5, lam=1.0,
+                          max_iters=1000, trials=1, seed=0, eps=1e-10)
     started = time.perf_counter()
     grid = run_benchmark(spec, list(synth.EXPERIMENT_IDS))
     elapsed = time.perf_counter() - started
@@ -215,9 +214,8 @@ def test_criterion_4_noise_matched_variant_wins_each_experiment():
                     reason="hours-long full-scale benchmark; set "
                            "SSNMF_FULL_SCALE=1 to run")
 def test_criterion_4_full_scale_diagonal_values():
-    spec = ExperimentSpec(experiment=1, n1=500, n2=500, k=500, r=5,
-                          density=0.5, lam=1.0, max_iters=100000, trials=5,
-                          seed=0, eps=1e-10)
+    spec = ExperimentSpec(n1=500, n2=500, k=500, r=5, density=0.5, lam=1.0,
+                          max_iters=100000, trials=5, seed=0, eps=1e-10)
     grid = run_benchmark(spec, list(synth.EXPERIMENT_IDS))
     matched = [grid.variants.index(synth.MATCHED_VARIANT[e])
                for e in grid.experiments]

@@ -248,6 +248,33 @@ def test_quotient_forms_differ_only_where_wz_plus_eps_is_zero():
         assert sparse[~zero_over_zero].tobytes() == dense[~zero_over_zero].tobytes()
 
 
+def _unsummable_sparse_x():
+    """A 60x40 x whose 168 nonzero entries (7%) are 1e307: its sum overflows."""
+    x = np.zeros((60, 40))
+    x[::5, ::3] = 1e307
+    return x
+
+
+def test_sparse_split_of_an_unsummable_x_does_not_warn():
+    # the suite turns numpy's warnings into errors; W.X's sum is the score's alone
+    x = _unsummable_sparse_x()
+    term = objectives.TermValue(x, None, Loss.DIV, 1e-10)
+    _, neg = term.parts(np.ones_like(x))
+    assert term.positions is not None
+    assert np.array_equal(neg != 0, x != 0)
+
+
+@pytest.mark.parametrize("x", [_unsummable_sparse_x(), np.full((60, 40), 1e306)],
+                         ids=["sparse", "dense"])
+@pytest.mark.parametrize("variant", [ModelVariant.DIV_FRO, ModelVariant.DIV_DIV])
+def test_unsummable_divergence_data_scores_inf(variant, x):
+    # not nan: the score's sum(W.Z) - sum(W.X) would be inf - inf, or -inf
+    # plus an overflowing dot product
+    y = np.eye(3)[:, np.arange(40) % 3]
+    with pytest.raises(FitError, match="^objective is inf at initialization$"):
+        fit(variant, x, y, SsnmfConfig(r=2, max_iters=3))
+
+
 def _text_shaped_system(seed):
     """A 6%-dense TF-IDF-like x (terms x documents) with one-hot labels."""
     gen = np.random.default_rng(seed)

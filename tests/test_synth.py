@@ -7,8 +7,9 @@ from dataclasses import replace
 
 from ssnmf import jobs, objectives, synth
 from ssnmf.exceptions import ConfigError, FitError
-from ssnmf.objectives import VARIANTS, ModelVariant
+from ssnmf.objectives import VARIANTS, Loss, ModelVariant
 from ssnmf.rng import substream
+from ssnmf.solver import FactorState
 
 
 def test_gen_factors_shapes_and_support():
@@ -46,7 +47,7 @@ def test_gen_factors_rejects_bad_density():
 
 def test_gaussian_sample_moments():
     mean = np.full((250, 400), 4.0)  # clamping at 0 is negligible out here
-    draws = synth._draw(synth.NoiseModel("gaussian", 1.0), mean, substream(1, "gaussian"))
+    draws = synth._draw(Loss.FRO, 1.0, mean, substream(1, "gaussian"))
     assert draws.min() >= 0
     assert draws.mean() == pytest.approx(4.0, abs=0.02)
     assert draws.var() == pytest.approx(1.0, abs=0.05)
@@ -54,20 +55,14 @@ def test_gaussian_sample_moments():
 
 def test_gaussian_clamps_at_zero():
     mean = np.zeros((100, 100))
-    draws = synth._draw(synth.NoiseModel("gaussian", 1.0), mean, substream(2, "gaussian"))
+    draws = synth._draw(Loss.FRO, 1.0, mean, substream(2, "gaussian"))
     assert draws.min() == 0.0
     assert (draws == 0).mean() > 0.3  # about half the mass clamps
 
 
-def test_gaussian_rejects_bad_variance():
-    for variance in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="variance must be finite and positive"):
-            synth.NoiseModel("gaussian", variance)
-
-
 def test_poisson_sample_moments():
     mean = np.full((250, 400), 3.0)
-    draws = synth._draw(synth.NoiseModel("poisson"), mean, substream(4, "poisson"))
+    draws = synth._draw(Loss.DIV, 1.0, mean, substream(4, "poisson"))
     assert draws.dtype == np.float64
     assert draws.mean() == pytest.approx(3.0, abs=0.03)
     # equidispersion: variance tracks the mean
@@ -75,24 +70,36 @@ def test_poisson_sample_moments():
 
 
 def test_poisson_zero_intensity_stays_zero():
-    draws = synth._draw(synth.NoiseModel("poisson"), np.zeros((20, 20)), substream(5, "poisson"))
+    draws = synth._draw(Loss.DIV, 1.0, np.zeros((20, 20)), substream(5, "poisson"))
     assert (draws == 0).all()
 
 
-def test_noise_pair_mapping():
-    for exp, (xk, yk) in {
-        1: ("gaussian", "gaussian"),
-        2: ("gaussian", "poisson"),
-        3: ("poisson", "gaussian"),
-        4: ("poisson", "poisson"),
-    }.items():
-        xn, yn = synth.noise_pair(exp, r=5)
-        assert (xn.kind, yn.kind) == (xk, yk)
-    # the narrow Gaussian carries variance 1/(2r)
-    xn, _ = synth.noise_pair(2, r=5)
-    assert xn.variance == pytest.approx(0.1)
-    with pytest.raises(ConfigError):
-        synth.noise_pair(0, r=5)
+def test_each_experiment_draws_the_noise_of_its_matched_variant(monkeypatch):
+    # every clean entry is 4r = 20, so no Gaussian draw clamps at 0
+    monkeypatch.setattr(synth, "gen_factors", lambda n1, n2, k, r, density, seed: FactorState(
+        a=np.full((n1, r), 2.0), b=np.full((k, r), 2.0), s=np.full((r, n2), 2.0)))
+    real = synth._draw
+    drawn = []
+
+    def record(loss, variance, mean, gen):
+        drawn.append((mean, real(loss, variance, mean, gen)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(synth, "_draw", record)
+    spec = synth.ExperimentSpec(n1=60, n2=60, k=60, r=5, max_iters=1, trials=1)
+    # (x, y) noise per experiment: a Gaussian's variance, or None for Poisson
+    for experiment, sides in {1: (1.0, 1.0), 2: (0.1, None), 3: (None, 0.1),
+                              4: (None, None)}.items():
+        drawn.clear()
+        synth._trial_column(spec, experiment, 0)
+        assert len(drawn) == 2
+        for (mean, draws), variance in zip(drawn, sides):
+            integral = np.array_equal(draws, np.round(draws))
+            if variance is None:
+                assert integral
+            else:
+                assert not integral
+                assert np.var(draws - mean) == pytest.approx(variance, rel=0.1)
 
 
 def test_matched_variant_diagonal():
@@ -109,16 +116,24 @@ def test_matched_variant_diagonal():
 ])
 def test_experiment_spec_rejects_out_of_range_knobs(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        synth.ExperimentSpec(experiment=1, **{field: value})
+        synth.ExperimentSpec(**{field: value})
 
 
 def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
-        synth.ExperimentSpec(experiment=5)
+        synth.ExperimentSpec(density=0.0)
     with pytest.raises(ConfigError):
-        synth.ExperimentSpec(experiment=1, density=0.0)
-    with pytest.raises(ConfigError):
-        synth.ExperimentSpec(experiment=1, trials=0)
+        synth.ExperimentSpec(trials=0)
+
+
+def test_benchmark_rejects_unknown_or_no_experiments_before_any_job(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(synth, "_trial_column", refuse)
+    for experiments in ([5], [1, 0], []):
+        with pytest.raises(ConfigError, match="must be a nonempty list of 1..4, got"):
+            synth.run_benchmark(tiny_spec(), experiments)
 
 
 def test_experiment_spec_rejects_rank_above_the_data(monkeypatch):
@@ -128,15 +143,13 @@ def test_experiment_spec_rejects_rank_above_the_data(monkeypatch):
     monkeypatch.setattr(synth, "gen_factors", refuse)
     for n1, n2 in ((4, 9), (9, 4)):
         with pytest.raises(ConfigError, match=r"r must be <= min\(n1, n2\) = 4"):
-            synth.ExperimentSpec(experiment=1, n1=n1, n2=n2, k=3, r=5)
-    synth.ExperimentSpec(experiment=1, n1=5, n2=9, k=3, r=5)
+            synth.ExperimentSpec(n1=n1, n2=n2, k=3, r=5)
+    synth.ExperimentSpec(n1=5, n2=9, k=3, r=5)
 
 
-def tiny_spec(experiment=1):
-    return synth.ExperimentSpec(
-        experiment=experiment, n1=12, n2=12, k=12, r=2,
-        density=0.5, max_iters=40, trials=2, seed=0,
-    )
+def tiny_spec():
+    return synth.ExperimentSpec(n1=12, n2=12, k=12, r=2, density=0.5, max_iters=40, trials=2,
+                                seed=0)
 
 
 def test_trial_builds_one_term_pair_per_variant(monkeypatch):
@@ -150,7 +163,7 @@ def test_trial_builds_one_term_pair_per_variant(monkeypatch):
     monkeypatch.setattr(objectives.TermValue, "__init__", counted)
     for max_iters in (1, 9):
         built.clear()
-        synth._trial_column(replace(tiny_spec(4), max_iters=max_iters), 0)
+        synth._trial_column(replace(tiny_spec(), max_iters=max_iters), 4, 0)
         # the base score's pair, then per variant the sweeps' pair and the final score's
         assert len(built) == 2 + 2 * 2 * len(VARIANTS)
 
@@ -188,14 +201,31 @@ def test_one_job_runs_in_process_whatever_the_cpus(pool_sizes, monkeypatch):
 def test_pool_is_no_larger_than_the_jobs_or_the_cpus(pool_sizes, monkeypatch):
     # 2 jobs on 4 CPUs are 2 processes, this one and a pool of 1; 100000 jobs
     # on 4 CPUs are a pool of 4 beside job 0 here
-    monkeypatch.setattr(synth, "_trial_column", lambda spec, trial: np.zeros(len(VARIANTS)))
+    monkeypatch.setattr(synth, "_trial_column", lambda *job: np.zeros(len(VARIANTS)))
     synth.run_benchmark(replace(tiny_spec(), trials=2), (1,))
     synth.run_benchmark(replace(tiny_spec(), trials=100000), (1,))
     assert pool_sizes == [1, 4]
 
 
+def test_benchmark_jobs_hold_one_spec_object(monkeypatch):
+    # a pool gets the job list pickled once per process under spawn or
+    # forkserver, and pickle writes an object once however many jobs hold it
+    maps = []
+
+    def record(func, jobs):
+        maps.append(jobs)
+        return [np.zeros(len(VARIANTS)) for _ in jobs]
+
+    monkeypatch.setattr(synth, "map_jobs", record)
+    spec = tiny_spec()
+    synth.run_benchmark(spec, (1, 3))
+    [jobs] = maps
+    assert [(e, t) for _, e, t in jobs] == [(1, 0), (1, 1), (3, 0), (3, 1)]
+    assert all(job[0] is spec for job in jobs)
+
+
 def test_error_grid_serialization(tmp_path):
-    grid = synth.run_benchmark(tiny_spec(2), [2])
+    grid = synth.run_benchmark(tiny_spec(), [2])
     assert grid.column_minima() == [int(np.argmin(grid.means[:, 0]))]
     payload = grid.to_dict()
     assert payload["experiments"] == [2]
@@ -241,7 +271,7 @@ def inf_in_b_at_the_last_sweep(monkeypatch, spec):
 
 def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
     monkeypatch.setattr(jobs, "_usable_cpus", lambda: 1)
-    spec = tiny_spec(2)
+    spec = tiny_spec()
     inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
         synth.run_benchmark(spec, [2])
@@ -252,7 +282,7 @@ def test_non_finite_b_is_a_fit_error_naming_the_trial(monkeypatch):
 def test_pooled_non_finite_b_names_the_first_failing_trial(monkeypatch, real_pool_sizes):
     # each process counts its own sweeps, so trial 1, which the pool's process
     # runs, fails too; the first failing job in order is reported
-    spec = tiny_spec(2)
+    spec = tiny_spec()
     inf_in_b_at_the_last_sweep(monkeypatch, spec)
     with pytest.raises(FitError, match="trial 0, experiment 2, variant fro-fro"):
         synth.run_benchmark(spec, [2])
