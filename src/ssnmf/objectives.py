@@ -219,6 +219,14 @@ class TermValue:
             return kept[0] if frozen else f.T @ neg, f.T @ pos
         return f.T @ neg, kept if frozen else f.sum(axis=0)[:, None] if pos is None else f.T @ pos
 
+    def error(self, z) -> float:
+        """The term's error at W.z for a fresh array z, masked in place."""
+        if z.shape != self.wx.shape:
+            raise ShapeError(f"operand shape mismatch: {self.wx.shape} vs {z.shape}")
+        if self.mask is not None:
+            z *= self.mask
+        return self(z)
+
     def __call__(self, wz) -> float:
         """The term's error at the masked product wz = W.Z, which is left as it is."""
         # the first score allocates the buffer (out=None), later ones reuse it
@@ -247,20 +255,23 @@ class TermValue:
             return total + float(np.dot(self.values, logs))
 
 
-def _term_error(x, z, mask, loss, eps):
-    """loss(mask.x || mask.z) for one pair; z is a fresh array, masked in place."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ShapeError(f"operand shape mismatch: {x.shape} vs {z.shape}")
-    term = TermValue(x, mask, loss, eps)
-    if term.mask is not None:
-        z *= term.mask
-    return term(z)
+def term_pair(variant: ModelVariant, x, y, w=None, l=None, eps: float = 0.0):
+    """The (reconstruction, supervision) TermValue pair of a system, the only
+    place a pair is built: loss(W.X || W.AS) and loss(L.Y || L.BS)."""
+    return (TermValue(x, w, variant.reconstruction, eps),
+            TermValue(y, l, variant.supervision, eps))
+
+
+def pair_value(pair, a, b, s, lam: float) -> float:
+    """The joint objective rec(W.X, W.AS) + lam * sup(L.Y, L.BS) of the state
+    (a, b, s) under a term pair, the one score of a state outside a sweep."""
+    rec, sup = pair
+    return rec.error(a @ s) + lam * sup.error(b @ s)
 
 
 def frobenius_sq(x, z, mask=None) -> float:
     """Sum of squared masked residuals, sum((mask . (x - z))**2)."""
-    return _term_error(x, np.array(z, dtype=np.float64), mask, Loss.FRO, 0.0)
+    return TermValue(x, mask, Loss.FRO).error(np.array(z, dtype=np.float64))
 
 
 def i_divergence(x, z, mask=None, eps: float = 0.0) -> float:
@@ -271,7 +282,7 @@ def i_divergence(x, z, mask=None, eps: float = 0.0) -> float:
     be nonnegative. When eps > 0 the log denominator is guarded as b + eps,
     which keeps the value finite on degenerate inputs; eps = 0 is exact.
     """
-    return _term_error(x, np.array(z, dtype=np.float64), mask, Loss.DIV, eps)
+    return TermValue(x, mask, Loss.DIV, eps).error(np.array(z, dtype=np.float64))
 
 
 def objective(
@@ -289,12 +300,8 @@ def objective(
 
     eps is forwarded to divergence terms only (Frobenius needs no guard).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    rec = _term_error(x, a @ s, w, spec.variant.reconstruction, eps)
-    sup = _term_error(y, b @ s, l, spec.variant.supervision, eps)
-    return rec + spec.lam * sup
+    a, b, s = (np.asarray(f, dtype=np.float64) for f in (a, b, s))
+    return pair_value(term_pair(spec.variant, x, y, w, l, eps), a, b, s, spec.lam)
 
 
 def mle_lambda(variant: ModelVariant, *, var_x: float = 1.0, var_y: float = 1.0) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrix
 from .exceptions import ConfigError, FitError, ShapeError
-from .objectives import ModelVariant, ObjectiveSpec, TermValue, objective
+from .objectives import ModelVariant, ObjectiveSpec, objective, pair_value, term_pair
 from .rng import substream
 
 
@@ -154,12 +154,6 @@ def _apply_floor(f):
     return f
 
 
-def _terms(variant, x, y, w, l, eps):
-    """The (reconstruction, supervision) objectives.TermValue pair of a system."""
-    return (TermValue(x, w, variant.reconstruction, eps),
-            TermValue(y, l, variant.supervision, eps))
-
-
 def _update(f, num, den, eps):
     """One multiplicative update: f times (num + eps) / (den + eps), floored."""
     return _apply_floor(f * ((num + eps) / (den + eps)))
@@ -193,16 +187,17 @@ def mu_step(
 ) -> FactorState:
     """One sweep of multiplicative updates (A, then B, then S).
 
-    terms, fit's (reconstruction, supervision) objectives.TermValue pair for
-    these x, y, w, l and eps, makes the sweep score the state it starts from
-    on the way: the A and B updates form exactly W.AS and L.BS of that state.
-    The returned state then carries that objective; without terms, nothing
-    is scored and its objective is None. reuse, such a pair given instead of
-    terms, saves building one per sweep and scores nothing.
+    terms, fit's objectives.term_pair for these x, y, w, l and eps, makes
+    the sweep score the state it starts from on the way: the A and B updates
+    form exactly W.AS and L.BS of that state. The returned state then carries
+    that objective; without terms, nothing is scored and its objective is
+    None. reuse, such a pair given instead of terms, saves building one per
+    sweep and scores nothing. Without either, a factor of state whose shape
+    does not fit x and y is a ShapeError naming it.
     """
     scored = terms is not None
     pair = terms if scored else reuse
-    rec, sup = pair if pair is not None else _terms(variant, x, y, w, l, eps)
+    rec, sup = pair if pair is not None else _state_terms(variant, state, x, y, w, l, eps)
     num, den, rec_value = rec.for_factor(state.a, state.s, scored)
     a = _update(state.a, num, den, eps)
     num, den, sup_value = sup.for_factor(state.b, state.s, scored)
@@ -223,16 +218,31 @@ def _check_system(x, y, w, l):
     return x, y, matrix.as_mask(w, x, "w", "x"), matrix.as_mask(l, y, "l", "y")
 
 
+def _check_shapes(state, n1, n2, k, r, what=""):
+    """Raise a ShapeError naming the first of A, B and S whose shape is not
+    (n1, r), (k, r) or (r, n2)."""
+    for name, f, shape in (("A", state.a, (n1, r)), ("B", state.b, (k, r)),
+                           ("S", state.s, (r, n2))):
+        if np.shape(f) != shape:
+            raise ShapeError(f"{what}{name} has shape {np.shape(f)}, expected {shape}")
+
+
 def _check_init(init, n1, n2, k, r):
     """A copy of init, whose factors must be finite and nonnegative, with
     shapes (n1, r), (k, r) and (r, n2)."""
     state = init.copy()
-    for name, f, shape in (("A", state.a, (n1, r)), ("B", state.b, (k, r)),
-                           ("S", state.s, (r, n2))):
-        if f.shape != shape:
-            raise ShapeError(f"init {name} has shape {f.shape}, expected {shape}")
+    _check_shapes(state, n1, n2, k, r, "init ")
+    for name, f in (("A", state.a), ("B", state.b), ("S", state.s)):
         matrix.check_nonnegative(f, f"init {name}")
     return state
+
+
+def _state_terms(variant, state, x, y, w, l, eps):
+    """The term pair of a system, for a state whose factors must fit x and y;
+    the rank is the row count of the state's S."""
+    n1, n2 = np.shape(x)
+    _check_shapes(state, n1, n2, np.shape(y)[0], np.shape(state.s)[0])
+    return term_pair(variant, x, y, w, l, eps)
 
 
 def tol_stop(value: float, start: float, tol: float) -> bool:
@@ -294,7 +304,7 @@ def fit(
 
     spec = ObjectiveSpec(variant, config.lam)
     record(state, objective(spec, state.a, state.b, state.s, x, y, w, l, eps=config.eps))
-    terms = _terms(variant, x, y, w, l, config.eps)
+    terms = term_pair(variant, x, y, w, l, config.eps)
     state = mu_step(variant, state, x, y, w, l, config.lam, config.eps, reuse=terms)
     for _ in range(1, config.max_iters):
         # the next sweep scores the state it starts from
@@ -304,9 +314,7 @@ def fit(
             break
         state = ahead
     else:
-        rec, sup = terms
-        record(state, rec(rec.product(state.a, state.s))
-               + config.lam * sup(sup.product(state.b, state.s)))
+        record(state, pair_value(terms, state.a, state.b, state.s, config.lam))
     return FitResult.from_trace(variant, config, state, trace)
 
 
@@ -315,7 +323,8 @@ def _descent(variant, state, x, y, w, l, lam, eps):
     over the term pair: each term's gradient in a factor is its weight c
     times the update's denominator minus its numerator."""
     grads, scales, ds, den = [], [], 0.0, 0.0
-    for f, term, weight in zip((state.a, state.b), _terms(variant, x, y, w, l, eps), (1.0, lam)):
+    pair = _state_terms(variant, state, x, y, w, l, eps)
+    for f, term, weight in zip((state.a, state.b), pair, (1.0, lam)):
         num, f_den, _ = term.for_factor(f, state.s)
         s_num, s_den = term.for_codes(f, state.s)
         c = term.grad_factor * weight
@@ -337,7 +346,8 @@ def gradient(
 ):
     """Analytic gradients (dA, dB, dS) of the joint objective.
 
-    Divergence quotients are eps-guarded and never raise.
+    Divergence quotients are eps-guarded and never raise. A factor of state
+    whose shape does not fit x and y is a ShapeError naming it.
     """
     return _descent(variant, state, x, y, w, l, lam, eps)[0]
 
@@ -356,5 +366,6 @@ def step_scale(
 
     Each multiplicative update equals factor - G . grad for these scales (up
     to the eps ratio guard), which is what makes the sweep a descent scheme.
+    A factor of state whose shape does not fit x and y is a ShapeError naming it.
     """
     return _descent(variant, state, x, y, w, l, lam, eps)[1]

@@ -3,9 +3,10 @@
 The benchmark fits all four model variants on data generated under four
 Gaussian/Poisson noise pairs and scores each fit by the relative error of the
 objective matched to the noise pair, computed against the clean products
-A @ S and B @ S. The variant that is the maximum-likelihood estimator for a
-noise pair should win its own column, which is the pattern the acceptance
-suite checks for.
+A @ S and B @ S. One clean pair (objectives.term_pair of the matched variant
+on the clean products) scores each trial's start state and its four fits.
+The variant that is the maximum-likelihood estimator for a noise pair should
+win its own column, which is the pattern the acceptance suite checks for.
 
 Each experiment's noise follows its matched variant (MATCHED_VARIANT): a
 fro side gets Gaussian noise clamped at 0, a div side Poisson counts.
@@ -32,9 +33,9 @@ import numpy as np
 
 from .exceptions import ConfigError, FitError
 from .jobs import map_jobs
-from .objectives import VARIANTS, Loss, ModelVariant, ObjectiveSpec, objective
+from .objectives import VARIANTS, Loss, ModelVariant, pair_value, term_pair
 from .rng import substream
-from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, _terms, mu_step
+from .solver import FactorState, _check_knobs, _check_rank, _draw_factors, mu_step
 
 
 EXPERIMENT_IDS = (1, 2, 3, 4)
@@ -172,12 +173,12 @@ def _trial_column(spec: ExperimentSpec, experiment: int, trial: int) -> np.ndarr
     y = _draw(matched.supervision, variance, clean_y,
               substream(spec.seed, "y", trial, experiment))
     init = _draw_factors(substream(spec.seed, "init", trial), spec.n1, spec.n2, spec.k, spec.r)
-    score = ObjectiveSpec(matched, spec.lam)
-    base = objective(score, init.a, init.b, init.s, clean_x, clean_y, eps=spec.eps)
+    clean = term_pair(matched, clean_x, clean_y, eps=spec.eps)
+    base = pair_value(clean, init.a, init.b, init.s, spec.lam)
     errors = np.empty(len(VARIANTS))
     for i, variant in enumerate(VARIANTS):
         state = init.copy()
-        terms = _terms(variant, x, y, None, None, spec.eps)
+        terms = term_pair(variant, x, y, eps=spec.eps)
         for _ in range(spec.max_iters):
             state = mu_step(variant, state, x, y, None, None, spec.lam, spec.eps, reuse=terms)
         if not all(np.all(np.isfinite(f)) for f in (state.a, state.b, state.s)):
@@ -185,8 +186,7 @@ def _trial_column(spec: ExperimentSpec, experiment: int, trial: int) -> np.ndarr
                 f"non-finite factors in trial {trial}, experiment {experiment}, "
                 f"variant {variant.key}"
             )
-        final = objective(score, state.a, state.b, state.s, clean_x, clean_y, eps=spec.eps)
-        errors[i] = final / base
+        errors[i] = pair_value(clean, state.a, state.b, state.s, spec.lam) / base
     return errors
 
 
@@ -194,11 +194,13 @@ def run_benchmark(base: ExperimentSpec, experiments: Sequence[int] = EXPERIMENT_
     """Every trial of every experiment, with base's knobs, on jobs.map_jobs's
     processes. Each (experiment, trial) job draws from its own substreams, so
     the grid is the same bit for bit on any number of processes. Every job
-    holds base itself, so a pool gets it once per process.
+    holds base itself, so a pool gets it once per process. An empty list, or
+    an unknown or repeated id, is a ConfigError raised before any job runs.
     """
-    if not experiments or any(e not in MATCHED_VARIANT for e in experiments):
+    if (not experiments or any(e not in MATCHED_VARIANT for e in experiments)
+            or len(set(experiments)) < len(experiments)):
         raise ConfigError(f"experiment ids must be a nonempty list of 1..4, "
-                          f"got {list(experiments)}")
+                          f"got {list(experiments)}; each id may appear once")
     jobs = [(base, e, t) for e in experiments for t in range(base.trials)]
     columns = map_jobs(_trial_column, jobs)
     # jobs run experiment-major; per_trial is trials x variants x experiments

@@ -77,6 +77,19 @@ def test_shape_mismatch_raises():
         i_divergence([[1.0]], [[1.0]], mask=[[1.0, 1.0]])
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_objective_rejects_a_product_of_the_wrong_shape(side, masked):
+    # A @ S or B @ S against a data or label matrix with one row too many
+    a, b, s = np.ones((2, 1)), np.ones((3, 1)), np.ones((1, 4))
+    x = np.ones((3 if side == "x" else 2, 4))
+    y = np.ones((4 if side == "y" else 3, 4))
+    w, l = (np.ones_like(x), np.ones_like(y)) if masked else (None, None)
+    for variant in VARIANTS:
+        with pytest.raises(ShapeError, match="^operand shape mismatch"):
+            objective(ObjectiveSpec(variant), a, b, s, x, y, w, l)
+
+
 def test_objective_mixed_losses_scalar():
     # fro part (2-1)^2 = 1; div part D(3 || 1) = 3 log 3 - 2
     spec = ObjectiveSpec(ModelVariant.FRO_DIV, lam=1.0)

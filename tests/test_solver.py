@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -594,13 +596,9 @@ def test_non_finite_value_after_the_start_is_a_fit_error(monkeypatch):
 
 
 def test_non_finite_closing_value_is_a_fit_error(monkeypatch):
-    # the last state of a full run is scored by fit's own terms, not a sweep
-    class InfTerm(objectives.TermValue):
-        def __call__(self, wz):
-            return float("inf")
-
+    # the last state of a full run is scored by fit's own pair, not a sweep
     _, x, y = random_system(103)
-    monkeypatch.setattr(solver, "TermValue", InfTerm)
+    monkeypatch.setattr(solver, "pair_value", lambda pair, a, b, s, lam: float("inf"))
     with pytest.raises(FitError, match="^objective is inf at sweep 1$"):
         fit(ModelVariant.FRO_FRO, x, y, SsnmfConfig(r=2, max_iters=1))
 
@@ -633,7 +631,8 @@ def test_mu_step_without_terms_scores_nothing(variant, masking, monkeypatch):
     monkeypatch.setattr(objectives.TermValue, "__call__", fail)
     out = mu_step(variant, state, x, y, w, l)
     assert out.objective is None
-    reused = mu_step(variant, state, x, y, w, l, reuse=solver._terms(variant, x, y, w, l, 1e-10))
+    pair = objectives.term_pair(variant, x, y, w, l, 1e-10)
+    reused = mu_step(variant, state, x, y, w, l, reuse=pair)
     assert reused.objective is None
     for got, want in zip((reused.a, reused.b, reused.s), (out.a, out.b, out.s)):
         assert got.tobytes() == want.tobytes()
@@ -643,8 +642,10 @@ class _SeamTerm:
     """A fit term that offers solver only its loss, gradient factor and the
     two update contractions, each delegated to a real TermValue."""
 
+    _real_class = objectives.TermValue
+
     def __init__(self, *args):
-        self._real = objectives.TermValue(*args)
+        self._real = self._real_class(*args)
         self.loss = self._real.loss
         self.grad_factor = self._real.grad_factor
 
@@ -666,14 +667,14 @@ def test_solver_asks_a_term_only_for_its_update_contractions(variant, masking, m
     args = (variant, state, x, y, w, l, 0.8, 1e-10)
 
     def outputs():
-        scored = mu_step(*args, terms=solver._terms(variant, x, y, w, l, 1e-10))
+        scored = mu_step(*args, terms=objectives.term_pair(variant, x, y, w, l, 1e-10))
         plain = mu_step(*args)
         out = [scored.a, scored.b, scored.s, [scored.objective], plain.a, plain.b, plain.s,
                *gradient(*args), *step_scale(*args)]
         return [np.asarray(part).tobytes() for part in out]
 
     real = outputs()
-    monkeypatch.setattr(solver, "TermValue", _SeamTerm)
+    monkeypatch.setattr(objectives, "TermValue", _SeamTerm)
     assert outputs() == real
 
 
@@ -703,6 +704,22 @@ def test_fit_rejects_a_negative_init_entry(variant):
     state.a[1, 1] = -0.5
     with pytest.raises(ShapeError, match=r"^init A must be .* found -0.5 at \(1, 1\)$"):
         fit(variant, x, y, SsnmfConfig(r=2, max_iters=3), init=state)
+
+
+SWEEPS = {"mu_step": mu_step, "gradient": gradient, "step_scale": step_scale}
+
+
+@pytest.mark.parametrize("name", ["A", "B", "S"])
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_sweeps_reject_a_factor_that_does_not_fit_the_system(sweep, name):
+    # a fro-fro mu_step once turned a 1-row A against a 6-row X into a 6 x 2 A
+    state, x, y = random_system(113)
+    f = getattr(state, name.lower())
+    setattr(state, name.lower(), f[:, :-1] if name == "S" else f[:1])
+    expected = re.escape(str((2, 8) if name == "S" else (6 if name == "A" else 3, 2)))
+    for variant in VARIANTS:
+        with pytest.raises(ShapeError, match=f"^{name} has shape .*, expected {expected}$"):
+            SWEEPS[sweep](variant, state, x, y)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -131,7 +131,7 @@ def test_benchmark_rejects_unknown_or_no_experiments_before_any_job(monkeypatch)
         raise AssertionError("a job ran")
 
     monkeypatch.setattr(synth, "_trial_column", refuse)
-    for experiments in ([5], [1, 0], []):
+    for experiments in ([5], [1, 0], [], [1, 1]):
         with pytest.raises(ConfigError, match="must be a nonempty list of 1..4, got"):
             synth.run_benchmark(tiny_spec(), experiments)
 
@@ -164,8 +164,8 @@ def test_trial_builds_one_term_pair_per_variant(monkeypatch):
     for max_iters in (1, 9):
         built.clear()
         synth._trial_column(replace(tiny_spec(), max_iters=max_iters), 4, 0)
-        # the base score's pair, then per variant the sweeps' pair and the final score's
-        assert len(built) == 2 + 2 * 2 * len(VARIANTS)
+        # the clean pair that scores base and every final state, then each variant's pair
+        assert len(built) == 2 + 2 * len(VARIANTS)
 
 
 def test_benchmark_smoke_and_determinism():
